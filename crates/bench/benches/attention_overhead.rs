@@ -2,11 +2,10 @@
 //! (the kernel-level view of Fig 7).
 
 use attn_tensor::rng::TensorRng;
-use attnchecker::attention::{
-    AttentionWeights, ForwardOptions, ProtectedAttention, SectionToggles,
-};
+use attnchecker::attention::{AttentionWeights, ProtectedAttention, SectionToggles};
 use attnchecker::config::ProtectionConfig;
 use attnchecker::report::AbftReport;
+use attnchecker::section::ForwardCtx;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -22,15 +21,13 @@ fn bench_attention(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("original", &label), &x, |b, x| {
             b.iter(|| {
                 let mut report = AbftReport::default();
-                let out = off.forward(
-                    black_box(x),
-                    ForwardOptions {
-                        toggles: SectionToggles::none(),
-                        ..Default::default()
-                    },
-                    &mut report,
-                );
-                black_box(out.output)
+                let mut ctx = ForwardCtx {
+                    mask: None,
+                    toggles: SectionToggles::none(),
+                    hook: None,
+                    report: &mut report,
+                };
+                black_box(off.forward_ctx(black_box(x), &mut ctx).output)
             })
         });
 
@@ -38,8 +35,13 @@ fn bench_attention(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("attnchecker", &label), &x, |b, x| {
             b.iter(|| {
                 let mut report = AbftReport::default();
-                let out = on.forward_simple(black_box(x), &mut report);
-                black_box(out.output)
+                let mut ctx = ForwardCtx {
+                    mask: None,
+                    toggles: SectionToggles::all(),
+                    hook: None,
+                    report: &mut report,
+                };
+                black_box(on.forward_ctx(black_box(x), &mut ctx).output)
             })
         });
     }

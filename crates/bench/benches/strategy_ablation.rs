@@ -2,10 +2,11 @@
 //! protected attention pipeline (the kernel-level view of Fig 8).
 
 use attn_tensor::rng::TensorRng;
-use attnchecker::attention::{AttentionWeights, ProtectedAttention};
+use attnchecker::attention::{AttentionWeights, ProtectedAttention, SectionToggles};
 use attnchecker::checked::CheckedMatrix;
 use attnchecker::config::{ProtectionConfig, Strategy};
 use attnchecker::report::AbftReport;
+use attnchecker::section::ForwardCtx;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -24,7 +25,13 @@ fn bench_strategies(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("attention", name), &x, |b, x| {
             b.iter(|| {
                 let mut report = AbftReport::default();
-                black_box(attn.forward_simple(black_box(x), &mut report).output)
+                let mut ctx = ForwardCtx {
+                    mask: None,
+                    toggles: SectionToggles::all(),
+                    hook: None,
+                    report: &mut report,
+                };
+                black_box(attn.forward_ctx(black_box(x), &mut ctx).output)
             })
         });
     }

@@ -14,11 +14,12 @@
 
 use attn_bench::TextTable;
 use attn_tensor::rng::TensorRng;
-use attnchecker::attention::{AttentionWeights, ProtectedAttention};
+use attnchecker::attention::{AttentionWeights, ProtectedAttention, SectionToggles};
 use attnchecker::checked::CheckedMatrix;
 use attnchecker::config::{AbftConfig, ProtectionConfig, Strategy};
 use attnchecker::detect::full_correct;
 use attnchecker::report::AbftReport;
+use attnchecker::section::ForwardCtx;
 
 fn main() {
     println!("== Ablation: detection tolerance E sensitivity ==\n");
@@ -40,7 +41,13 @@ fn main() {
         let mut fps = 0usize;
         for x in &inputs {
             let mut report = AbftReport::default();
-            let _ = attn.forward_simple(x, &mut report);
+            let mut ctx = ForwardCtx {
+                mask: None,
+                toggles: SectionToggles::all(),
+                hook: None,
+                report: &mut report,
+            };
+            let _ = attn.forward_ctx(x, &mut ctx);
             fps += report.detections;
         }
 

@@ -233,23 +233,55 @@ pub struct AttnForward {
     pub cache: AttnCache,
 }
 
-/// Per-call options for [`ProtectedAttention::forward`] — the borrowed
-/// pieces of a [`ForwardCtx`] minus the report.
-pub struct ForwardOptions<'a> {
-    /// Additive attention mask (`seq × seq`), e.g. causal or local-banded.
-    pub mask: Option<&'a Matrix>,
-    /// Per-execution section toggles (from the frequency gates).
-    pub toggles: SectionToggles,
-    /// Optional fault-injection hook.
-    pub hook: Option<FaultHook<'a>>,
+/// Borrowed view of one attention block's parameters: the weight type the
+/// protected forward and decode step run on. One of these is built from
+/// wherever the parameters already live (`attn_model`'s `Param`s, an
+/// [`AttentionWeights`]), so neither a training forward nor a decoded
+/// token pays a `hidden × hidden` weight-snapshot clone per layer.
+#[derive(Clone, Copy)]
+pub struct AttentionWeightsRef<'a> {
+    /// Model width.
+    pub hidden: usize,
+    /// Head count (must divide `hidden`).
+    pub heads: usize,
+    /// Query projection, `hidden × hidden`.
+    pub wq: &'a Matrix,
+    /// Key projection.
+    pub wk: &'a Matrix,
+    /// Value projection.
+    pub wv: &'a Matrix,
+    /// Output projection.
+    pub wo: &'a Matrix,
+    /// Query bias.
+    pub bq: &'a [f32],
+    /// Key bias.
+    pub bk: &'a [f32],
+    /// Value bias.
+    pub bv: &'a [f32],
+    /// Output bias.
+    pub bo: &'a [f32],
 }
 
-impl Default for ForwardOptions<'_> {
-    fn default() -> Self {
+impl AttentionWeightsRef<'_> {
+    /// Per-head width.
+    pub fn head_dim(&self) -> usize {
+        self.hidden / self.heads
+    }
+}
+
+impl<'a> From<&'a AttentionWeights> for AttentionWeightsRef<'a> {
+    fn from(w: &'a AttentionWeights) -> Self {
         Self {
-            mask: None,
-            toggles: SectionToggles::all(),
-            hook: None,
+            hidden: w.hidden,
+            heads: w.heads,
+            wq: &w.wq,
+            wk: &w.wk,
+            wv: &w.wv,
+            wo: &w.wo,
+            bq: &w.bq,
+            bk: &w.bk,
+            bv: &w.bv,
+            bo: &w.bo,
         }
     }
 }
@@ -269,254 +301,238 @@ impl ProtectedAttention {
         Self { weights, config }
     }
 
-    /// Convenience forward: full protection, no mask, no hook.
-    pub fn forward_simple(&self, x: &Matrix, report: &mut AbftReport) -> AttnForward {
-        self.forward(x, ForwardOptions::default(), report)
-    }
-
-    /// Run the protected attention pipeline on `x` (`seq × hidden`).
-    ///
-    /// Compatibility wrapper around [`Self::forward_ctx`].
-    ///
-    /// # Panics
-    /// Panics if `x.cols() != hidden`.
-    pub fn forward(
-        &self,
-        x: &Matrix,
-        opts: ForwardOptions<'_>,
-        report: &mut AbftReport,
-    ) -> AttnForward {
-        let mut ctx = ForwardCtx {
-            mask: opts.mask,
-            toggles: opts.toggles,
-            hook: opts.hook,
-            report,
-        };
-        self.forward_ctx(x, &mut ctx)
-    }
-
-    /// Run the protected attention pipeline with an explicit per-execution
-    /// [`ForwardCtx`] — the entry point shared by the sequential and
-    /// batched paths.
-    ///
-    /// # Panics
-    /// Panics if `x.cols() != hidden`.
-    #[allow(clippy::needless_range_loop)] // head index drives several buffers
+    /// Run the protected attention pipeline on `x` (`seq × hidden`) — see
+    /// the free [`forward_ctx`] this delegates to (borrowing the owned
+    /// weights).
     pub fn forward_ctx(&self, x: &Matrix, ctx: &mut ForwardCtx<'_, '_>) -> AttnForward {
-        let w = &self.weights;
-        assert_eq!(x.cols(), w.hidden, "input width mismatch");
-        let seq = x.rows();
-        let heads = w.heads;
-        let d = w.head_dim();
-        let scale = 1.0 / (d as f32).sqrt();
-        let mask = ctx.mask;
+        forward_ctx(&(&self.weights).into(), &self.config, x, ctx)
+    }
+}
 
-        let s_as = GuardedSection::begin(
-            SectionId::AttentionScore,
-            &self.config,
-            ctx.toggles.s_as,
-            ctx.report,
-        );
-        let s_cl = GuardedSection::begin(
-            SectionId::ContextLayer,
-            &self.config,
-            ctx.toggles.s_cl,
-            ctx.report,
-        );
-        let s_o =
-            GuardedSection::begin(SectionId::Output, &self.config, ctx.toggles.s_o, ctx.report);
-        // Non-GEMM scope: screens the per-head softmax outputs (the one
-        // nonlinearity inside attention) and heals from the cached scores.
-        let op_guard = GuardedSection::guard_step(&self.config);
+/// Run the protected attention pipeline on `x` (`seq × hidden`) with an
+/// explicit per-execution [`ForwardCtx`] (mask, section toggles, fault
+/// hook, report) — the one attention entry point of the training forward.
+///
+/// # Panics
+/// Panics if `x.cols() != hidden`.
+#[allow(clippy::needless_range_loop)] // head index drives several buffers
+pub fn forward_ctx(
+    w: &AttentionWeightsRef<'_>,
+    config: &ProtectionConfig,
+    x: &Matrix,
+    ctx: &mut ForwardCtx<'_, '_>,
+) -> AttnForward {
+    assert_eq!(x.cols(), w.hidden, "input width mismatch");
+    let seq = x.rows();
+    let heads = w.heads;
+    let d = w.head_dim();
+    let scale = 1.0 / (d as f32).sqrt();
+    let mask = ctx.mask;
 
-        // ------------------------------------------------ section S_AS
-        // X enters the section through fused encode-and-multiply: its
-        // column-checksum projections accumulate inside each projection
-        // GEMM's packing pass, and Q and K inherit the riding checksums —
-        // no standalone encode sweep over X, no augmented copy.
-        let mut q = s_as.gemm_encode_cols(x, &s_as.operand(&w.wq));
-        let mut k = s_as.gemm_encode_cols(x, &s_as.operand(&w.wk));
-        q.add_bias(&w.bq);
-        k.add_bias(&w.bk);
+    let s_as = GuardedSection::begin(
+        SectionId::AttentionScore,
+        config,
+        ctx.toggles.s_as,
+        ctx.report,
+    );
+    let s_cl = GuardedSection::begin(
+        SectionId::ContextLayer,
+        config,
+        ctx.toggles.s_cl,
+        ctx.report,
+    );
+    let s_o = GuardedSection::begin(SectionId::Output, config, ctx.toggles.s_o, ctx.report);
+    // Non-GEMM scope: screens the per-head softmax outputs (the one
+    // nonlinearity inside attention) and heals from the cached scores.
+    let op_guard = GuardedSection::guard_step(config);
+
+    // ------------------------------------------------ section S_AS
+    // X enters the section through fused encode-and-multiply: its
+    // column-checksum projections accumulate inside each projection
+    // GEMM's packing pass, and Q and K inherit the riding checksums —
+    // no standalone encode sweep over X, no augmented copy.
+    let mut q = s_as.gemm_encode_cols(x, &s_as.operand(w.wq));
+    let mut k = s_as.gemm_encode_cols(x, &s_as.operand(w.wk));
+    q.add_bias(w.bq);
+    k.add_bias(w.bk);
+    ctx.fire(
+        FaultSite {
+            op: AttnOp::Q,
+            head: None,
+        },
+        &mut q,
+    );
+    ctx.fire(
+        FaultSite {
+            op: AttnOp::K,
+            head: None,
+        },
+        &mut k,
+    );
+
+    let heal_q = |q: &mut CheckedMatrix, report: &mut AbftReport| {
+        s_as.heal_operand_cols(report, q, usize::MAX, |r, c| {
+            replay_nn(x.row(r), |kk| w.wq[(kk, c)]) + w.bq[c]
+        });
+    };
+    let heal_k = |k: &mut CheckedMatrix, report: &mut AbftReport| {
+        s_as.heal_operand_cols(report, k, usize::MAX, |r, c| {
+            replay_nn(x.row(r), |kk| w.wk[(kk, c)]) + w.bk[c]
+        });
+    };
+    // Heal the source operands lazily at the first delayed detection: Q
+    // and K are cached for backward, where an uncorrected 0D extreme
+    // value would re-poison the gradients — and the exact refinement of
+    // AS below needs clean operands to replay against. Under immediate
+    // (Separate) verification they are healed right here instead.
+    let mut qk_healed = s_as.immediate();
+    if s_as.active() && s_as.immediate() {
+        heal_q(&mut q, ctx.report);
+        heal_k(&mut k, ctx.report);
+    }
+
+    let mut scores_cache = Vec::with_capacity(heads);
+    let mut ap_mats: Vec<Matrix> = Vec::with_capacity(heads);
+    for h in 0..heads {
+        let qh = q.slice_cols(h * d, (h + 1) * d);
+        let kh = k.slice_cols(h * d, (h + 1) * d);
+        let mut as_h = s_as.gemm_nt(&qh, &kh);
+        as_h.scale_inplace(scale);
         ctx.fire(
             FaultSite {
-                op: AttnOp::Q,
-                head: None,
+                op: AttnOp::AS,
+                head: Some(h),
             },
-            &mut q,
-        );
-        ctx.fire(
-            FaultSite {
-                op: AttnOp::K,
-                head: None,
-            },
-            &mut k,
+            &mut as_h,
         );
 
-        let heal_q = |q: &mut CheckedMatrix, report: &mut AbftReport| {
-            s_as.heal_operand_cols(report, q, usize::MAX, |r, c| {
-                replay_nn(x.row(r), |kk| w.wq[(kk, c)]) + w.bq[c]
-            });
-        };
-        let heal_k = |k: &mut CheckedMatrix, report: &mut AbftReport| {
-            s_as.heal_operand_cols(report, k, usize::MAX, |r, c| {
-                replay_nn(x.row(r), |kk| w.wk[(kk, c)]) + w.bk[c]
-            });
-        };
-        // Heal the source operands lazily at the first delayed detection: Q
-        // and K are cached for backward, where an uncorrected 0D extreme
-        // value would re-poison the gradients — and the exact refinement of
-        // AS below needs clean operands to replay against. Under immediate
-        // (Separate) verification they are healed right here instead.
-        let mut qk_healed = s_as.immediate();
-        if s_as.active() && s_as.immediate() {
-            heal_q(&mut q, ctx.report);
-            heal_k(&mut k, ctx.report);
-        }
-
-        let mut scores_cache = Vec::with_capacity(heads);
-        let mut ap_mats: Vec<Matrix> = Vec::with_capacity(heads);
-        for h in 0..heads {
-            let qh = q.slice_cols(h * d, (h + 1) * d);
-            let kh = k.slice_cols(h * d, (h + 1) * d);
-            let mut as_h = s_as.gemm_nt(&qh, &kh);
-            as_h.scale_inplace(scale);
-            ctx.fire(
-                FaultSite {
-                    op: AttnOp::AS,
-                    head: Some(h),
-                },
-                &mut as_h,
-            );
-
-            let mut det = s_as.detect(&mut as_h, h);
-            if det.detections() > 0 {
-                if !qk_healed {
-                    qk_healed = true;
-                    heal_q(&mut q, ctx.report);
-                    heal_k(&mut k, ctx.report);
-                }
-                let lo = h * d;
-                det.refine(&mut as_h, |r, c| {
-                    replay_nn(&q.logical_row(r)[lo..lo + d], |kk| {
-                        k.logical_row(c)[lo + kk]
-                    }) * scale
-                });
+        let mut det = s_as.detect(&mut as_h, h);
+        if det.detections() > 0 {
+            if !qk_healed {
+                qk_healed = true;
+                heal_q(&mut q, ctx.report);
+                heal_k(&mut k, ctx.report);
             }
-            det.absorb(ctx.report);
-
-            // Leave the checksummed region: mask + softmax are nonlinear.
-            // AP stays plain here; its re-encoding rides inside the fused
-            // `AP·V` GEMM that re-enters S_CL below. The cached post-mask
-            // scores double as the op guard's preserved input: rows whose
-            // probabilities fail the sum-to-one screen recompute from them.
-            let ap_m = s_cl.exit_cols(&as_h, |as_mat| {
-                if let Some(m) = mask {
-                    apply_additive_mask(as_mat, m);
-                }
-                scores_cache.push(as_mat.clone());
-                softmax_rows_checked_inplace(as_mat, &op_guard);
-            });
-            ap_mats.push(ap_m);
-        }
-
-        // ------------------------------------------------ section S_CL
-        let x_plain = s_cl.operand(x);
-        let mut cl_blocks = Vec::with_capacity(heads);
-        let mut v_cols: Vec<Matrix> = Vec::with_capacity(heads);
-        for h in 0..heads {
-            let wv_h = w.wv.submatrix(0, w.hidden, h * d, (h + 1) * d);
-            let bv_h = &w.bv[h * d..(h + 1) * d];
-            // W_V's per-head slice enters through the row-side fused
-            // encode: its row-checksum projections accumulate inside the
-            // `X·W_V` packing pass and ride into V.
-            let mut v_h = s_cl.gemm_encode_rows(&x_plain, &wv_h);
-            v_h.add_bias(bv_h);
-            ctx.fire(
-                FaultSite {
-                    op: AttnOp::V,
-                    head: Some(h),
-                },
-                &mut v_h,
-            );
-
-            let heal_v = |v_h: &mut CheckedMatrix, report: &mut AbftReport| {
-                s_cl.heal_operand_rows(report, v_h, h, |r, c| {
-                    replay_nn(x.row(r), |kk| wv_h[(kk, c)]) + bv_h[c]
-                });
-            };
-            if s_cl.active() && s_cl.immediate() && v_h.has_row_checksums() {
-                heal_v(&mut v_h, ctx.report);
-            }
-
-            // AP re-enters the checksummed region inside the fused GEMM:
-            // its column encoding (the old standalone re-encode sweep
-            // after softmax) accumulates in this product's packing pass.
-            let mut cl_h = s_cl.gemm_encode_cols(&ap_mats[h], &v_h);
-            ctx.fire(
-                FaultSite {
-                    op: AttnOp::CL,
-                    head: Some(h),
-                },
-                &mut cl_h,
-            );
-            let mut det = s_cl.detect(&mut cl_h, h);
-            if det.detections() > 0 {
-                if v_h.has_row_checksums() {
-                    // Heal the cached V the same way Q/K are healed.
-                    heal_v(&mut v_h, ctx.report);
-                }
-                let ap = &ap_mats[h];
-                det.refine(&mut cl_h, |r, c| replay_nn(ap.row(r), |kk| v_h.get(kk, c)));
-            }
-            det.absorb(ctx.report);
-            v_cols.push(v_h.logical());
-            cl_blocks.push(cl_h.drop_row_checksums());
-        }
-        let cl_merged = CheckedMatrix::concat_cols(&cl_blocks);
-
-        // ------------------------------------------------ section S_O
-        // CL is inherited from S_CL: ride its checksums when present,
-        // fused-encode on entry when S_O is active but S_CL was skipped.
-        let mut o = s_o.gemm_adopt_cols(&cl_merged, &s_o.operand(&w.wo));
-        o.add_bias(&w.bo);
-        ctx.fire(
-            FaultSite {
-                op: AttnOp::O,
-                head: None,
-            },
-            &mut o,
-        );
-        let mut det = s_o.detect(&mut o, usize::MAX);
-        if det.fixes() > 0 {
-            det.refine(&mut o, |r, c| {
-                replay_nn(cl_merged.logical_row(r), |kk| w.wo[(kk, c)]) + w.bo[c]
+            let lo = h * d;
+            det.refine(&mut as_h, |r, c| {
+                replay_nn(&q.logical_row(r)[lo..lo + d], |kk| {
+                    k.logical_row(c)[lo + kk]
+                }) * scale
             });
         }
         det.absorb(ctx.report);
-        ctx.report.absorb_op_guard(op_guard.take_stats());
 
-        // Assemble caches (all post-correction).
-        let q_mat = q.logical();
-        let k_mat = k.logical();
-        let mut v_mat = Matrix::zeros(seq, w.hidden);
-        for (h, vh) in v_cols.iter().enumerate() {
-            for r in 0..seq {
-                v_mat.row_mut(r)[h * d..(h + 1) * d].copy_from_slice(vh.row(r));
+        // Leave the checksummed region: mask + softmax are nonlinear.
+        // AP stays plain here; its re-encoding rides inside the fused
+        // `AP·V` GEMM that re-enters S_CL below. The cached post-mask
+        // scores double as the op guard's preserved input: rows whose
+        // probabilities fail the sum-to-one screen recompute from them.
+        let ap_m = s_cl.exit_cols(&as_h, |as_mat| {
+            if let Some(m) = mask {
+                apply_additive_mask(as_mat, m);
             }
-        }
-        AttnForward {
-            output: o.logical(),
-            cache: AttnCache {
-                x: x.clone(),
-                q: q_mat,
-                k: k_mat,
-                v: v_mat,
-                scores: scores_cache,
-                ap: ap_mats,
-                cl: cl_merged.logical(),
+            scores_cache.push(as_mat.clone());
+            softmax_rows_checked_inplace(as_mat, &op_guard);
+        });
+        ap_mats.push(ap_m);
+    }
+
+    // ------------------------------------------------ section S_CL
+    let x_plain = s_cl.operand(x);
+    let mut cl_blocks = Vec::with_capacity(heads);
+    let mut v_cols: Vec<Matrix> = Vec::with_capacity(heads);
+    for h in 0..heads {
+        let wv_h = w.wv.submatrix(0, w.hidden, h * d, (h + 1) * d);
+        let bv_h = &w.bv[h * d..(h + 1) * d];
+        // W_V's per-head slice enters through the row-side fused
+        // encode: its row-checksum projections accumulate inside the
+        // `X·W_V` packing pass and ride into V.
+        let mut v_h = s_cl.gemm_encode_rows(&x_plain, &wv_h);
+        v_h.add_bias(bv_h);
+        ctx.fire(
+            FaultSite {
+                op: AttnOp::V,
+                head: Some(h),
             },
+            &mut v_h,
+        );
+
+        let heal_v = |v_h: &mut CheckedMatrix, report: &mut AbftReport| {
+            s_cl.heal_operand_rows(report, v_h, h, |r, c| {
+                replay_nn(x.row(r), |kk| wv_h[(kk, c)]) + bv_h[c]
+            });
+        };
+        if s_cl.active() && s_cl.immediate() && v_h.has_row_checksums() {
+            heal_v(&mut v_h, ctx.report);
         }
+
+        // AP re-enters the checksummed region inside the fused GEMM:
+        // its column encoding (the old standalone re-encode sweep
+        // after softmax) accumulates in this product's packing pass.
+        let mut cl_h = s_cl.gemm_encode_cols(&ap_mats[h], &v_h);
+        ctx.fire(
+            FaultSite {
+                op: AttnOp::CL,
+                head: Some(h),
+            },
+            &mut cl_h,
+        );
+        let mut det = s_cl.detect(&mut cl_h, h);
+        if det.detections() > 0 {
+            if v_h.has_row_checksums() {
+                // Heal the cached V the same way Q/K are healed.
+                heal_v(&mut v_h, ctx.report);
+            }
+            let ap = &ap_mats[h];
+            det.refine(&mut cl_h, |r, c| replay_nn(ap.row(r), |kk| v_h.get(kk, c)));
+        }
+        det.absorb(ctx.report);
+        v_cols.push(v_h.logical());
+        cl_blocks.push(cl_h.drop_row_checksums());
+    }
+    let cl_merged = CheckedMatrix::concat_cols(&cl_blocks);
+
+    // ------------------------------------------------ section S_O
+    // CL is inherited from S_CL: ride its checksums when present,
+    // fused-encode on entry when S_O is active but S_CL was skipped.
+    let mut o = s_o.gemm_adopt_cols(&cl_merged, &s_o.operand(w.wo));
+    o.add_bias(w.bo);
+    ctx.fire(
+        FaultSite {
+            op: AttnOp::O,
+            head: None,
+        },
+        &mut o,
+    );
+    let mut det = s_o.detect(&mut o, usize::MAX);
+    if det.fixes() > 0 {
+        det.refine(&mut o, |r, c| {
+            replay_nn(cl_merged.logical_row(r), |kk| w.wo[(kk, c)]) + w.bo[c]
+        });
+    }
+    det.absorb(ctx.report);
+    ctx.report.absorb_op_guard(op_guard.take_stats());
+
+    // Assemble caches (all post-correction).
+    let q_mat = q.logical();
+    let k_mat = k.logical();
+    let mut v_mat = Matrix::zeros(seq, w.hidden);
+    for (h, vh) in v_cols.iter().enumerate() {
+        for r in 0..seq {
+            v_mat.row_mut(r)[h * d..(h + 1) * d].copy_from_slice(vh.row(r));
+        }
+    }
+    AttnForward {
+        output: o.logical(),
+        cache: AttnCache {
+            x: x.clone(),
+            q: q_mat,
+            k: k_mat,
+            v: v_mat,
+            scores: scores_cache,
+            ap: ap_mats,
+            cl: cl_merged.logical(),
+        },
     }
 }
 
@@ -533,21 +549,31 @@ mod tests {
         (x, ProtectedAttention::new(w, ProtectionConfig::full()))
     }
 
+    /// One `forward_ctx` call with a fresh report.
+    fn run(
+        attn: &ProtectedAttention,
+        x: &Matrix,
+        mask: Option<&Matrix>,
+        toggles: SectionToggles,
+        hook: Option<FaultHook<'_>>,
+    ) -> (AttnForward, AbftReport) {
+        let mut report = AbftReport::default();
+        let mut ctx = ForwardCtx {
+            mask,
+            toggles,
+            hook,
+            report: &mut report,
+        };
+        let out = attn.forward_ctx(x, &mut ctx);
+        (out, report)
+    }
+
     #[test]
     fn protected_matches_unprotected_when_fault_free() {
         let (x, attn) = setup(12, 32, 4);
         let unprotected = ProtectedAttention::new(attn.weights.clone(), ProtectionConfig::off());
-        let mut r1 = AbftReport::default();
-        let mut r2 = AbftReport::default();
-        let a = attn.forward_simple(&x, &mut r1);
-        let b = unprotected.forward(
-            &x,
-            ForwardOptions {
-                toggles: SectionToggles::none(),
-                ..Default::default()
-            },
-            &mut r2,
-        );
+        let (a, r1) = run(&attn, &x, None, SectionToggles::all(), None);
+        let (b, _) = run(&unprotected, &x, None, SectionToggles::none(), None);
         assert!(
             a.output.approx_eq(&b.output, 1e-4, 1e-4),
             "protection must not perturb fault-free results"
@@ -560,10 +586,8 @@ mod tests {
         let (x, attn) = setup(10, 24, 3);
         let sep =
             ProtectedAttention::new(attn.weights.clone(), ProtectionConfig::full_unoptimized());
-        let mut r1 = AbftReport::default();
-        let mut r2 = AbftReport::default();
-        let a = attn.forward_simple(&x, &mut r1);
-        let b = sep.forward_simple(&x, &mut r2);
+        let (a, _) = run(&attn, &x, None, SectionToggles::all(), None);
+        let (b, r2) = run(&sep, &x, None, SectionToggles::all(), None);
         assert!(a.output.approx_eq(&b.output, 1e-4, 1e-4));
         assert!(r2.is_quiet());
     }
@@ -572,15 +596,7 @@ mod tests {
     fn masked_forward_respects_causality() {
         let (x, attn) = setup(8, 16, 2);
         let mask = causal_mask(8);
-        let mut r = AbftReport::default();
-        let out = attn.forward(
-            &x,
-            ForwardOptions {
-                mask: Some(&mask),
-                ..Default::default()
-            },
-            &mut r,
-        );
+        let (out, r) = run(&attn, &x, Some(&mask), SectionToggles::all(), None);
         // Attention probabilities above the diagonal must be ~0.
         for ap in &out.cache.ap {
             for i in 0..8 {
@@ -595,8 +611,7 @@ mod tests {
     fn inject_then_check(op: AttnOp, kind: FaultKind) {
         let (x, attn) = setup(10, 32, 4);
         // Ground truth from a clean protected run.
-        let mut quiet = AbftReport::default();
-        let clean = attn.forward_simple(&x, &mut quiet);
+        let (clean, _) = run(&attn, &x, None, SectionToggles::all(), None);
 
         let mut fired = false;
         let mut hook = |site: FaultSite, m: &mut CheckedMatrix| {
@@ -608,16 +623,7 @@ mod tests {
                 m.set(r, c, kind.apply(old));
             }
         };
-        let mut report = AbftReport::default();
-        let out = attn.forward(
-            &x,
-            ForwardOptions {
-                mask: None,
-                toggles: SectionToggles::all(),
-                hook: Some(&mut hook),
-            },
-            &mut report,
-        );
+        let (out, report) = run(&attn, &x, None, SectionToggles::all(), Some(&mut hook));
         assert!(fired, "hook never fired for {op:?}");
         assert!(
             out.output.approx_eq(&clean.output, 1e-2, 1e-2),
@@ -668,16 +674,7 @@ mod tests {
                 m.set(2, 5, f32::NAN);
             }
         };
-        let mut report = AbftReport::default();
-        let out = off.forward(
-            &x,
-            ForwardOptions {
-                mask: None,
-                toggles: SectionToggles::none(),
-                hook: Some(&mut hook),
-            },
-            &mut report,
-        );
+        let (out, report) = run(&off, &x, None, SectionToggles::none(), Some(&mut hook));
         assert!(
             !out.output.all_finite(),
             "NaN must reach the output unprotected"
@@ -688,23 +685,13 @@ mod tests {
     #[test]
     fn cached_q_is_healed_after_delayed_detection() {
         let (x, attn) = setup(10, 32, 4);
-        let mut quiet = AbftReport::default();
-        let clean = attn.forward_simple(&x, &mut quiet);
+        let (clean, _) = run(&attn, &x, None, SectionToggles::all(), None);
         let mut hook = |site: FaultSite, m: &mut CheckedMatrix| {
             if site.op == AttnOp::Q {
                 m.set(3, 7, f32::INFINITY);
             }
         };
-        let mut report = AbftReport::default();
-        let out = attn.forward(
-            &x,
-            ForwardOptions {
-                mask: None,
-                toggles: SectionToggles::all(),
-                hook: Some(&mut hook),
-            },
-            &mut report,
-        );
+        let (out, _) = run(&attn, &x, None, SectionToggles::all(), Some(&mut hook));
         // The cached Q (used by backward) must be finite and match clean.
         assert!(out.cache.q.all_finite());
         assert!(out.cache.q.approx_eq(&clean.cache.q, 1e-2, 1e-2));
@@ -713,21 +700,11 @@ mod tests {
     #[test]
     fn toggled_off_section_skips_detection() {
         let (x, attn) = setup(8, 16, 2);
-        let mut report = AbftReport::default();
-        let _ = attn.forward(
-            &x,
-            ForwardOptions {
-                mask: None,
-                toggles: SectionToggles {
-                    s_as: true,
-                    s_cl: false,
-                    s_o: false,
-                    s_ffn: false,
-                },
-                hook: None,
-            },
-            &mut report,
-        );
+        let toggles = SectionToggles {
+            s_as: true,
+            ..SectionToggles::none()
+        };
+        let (_, report) = run(&attn, &x, None, toggles, None);
         assert_eq!(report.sections_checked, 1);
         assert_eq!(report.sections_skipped, 2);
     }
@@ -735,8 +712,7 @@ mod tests {
     #[test]
     fn output_shape_and_cache_shapes() {
         let (x, attn) = setup(9, 24, 3);
-        let mut r = AbftReport::default();
-        let out = attn.forward_simple(&x, &mut r);
+        let (out, _) = run(&attn, &x, None, SectionToggles::all(), None);
         assert_eq!((out.output.rows(), out.output.cols()), (9, 24));
         assert_eq!((out.cache.q.rows(), out.cache.q.cols()), (9, 24));
         assert_eq!(out.cache.ap.len(), 3);

@@ -36,7 +36,7 @@
 //!
 //! attn-lint: hot-path
 
-use crate::attention::{AttentionWeights, AttnOp, FaultSite, ProtectedAttention};
+use crate::attention::{AttentionWeightsRef, AttnOp, FaultSite, ProtectedAttention};
 use crate::checked::CheckedMatrix;
 use crate::checksum::weight;
 use crate::config::{AbftConfig, ProtectionConfig};
@@ -665,59 +665,6 @@ fn row_checksum_blocked(row: &[f32]) -> (f32, f32) {
     (s, ws)
 }
 
-/// Borrowed view of one attention block's parameters, for the decode hot
-/// path: one of these is built per step from wherever the parameters
-/// already live (`attn_model`'s `Param`s, an [`AttentionWeights`]), so a
-/// decoded token never pays a `hidden × hidden` weight-snapshot clone per
-/// layer.
-#[derive(Clone, Copy)]
-pub struct AttentionWeightsRef<'a> {
-    /// Model width.
-    pub hidden: usize,
-    /// Head count (must divide `hidden`).
-    pub heads: usize,
-    /// Query projection, `hidden × hidden`.
-    pub wq: &'a Matrix,
-    /// Key projection.
-    pub wk: &'a Matrix,
-    /// Value projection.
-    pub wv: &'a Matrix,
-    /// Output projection.
-    pub wo: &'a Matrix,
-    /// Query bias.
-    pub bq: &'a [f32],
-    /// Key bias.
-    pub bk: &'a [f32],
-    /// Value bias.
-    pub bv: &'a [f32],
-    /// Output bias.
-    pub bo: &'a [f32],
-}
-
-impl AttentionWeightsRef<'_> {
-    /// Per-head width.
-    pub fn head_dim(&self) -> usize {
-        self.hidden / self.heads
-    }
-}
-
-impl<'a> From<&'a AttentionWeights> for AttentionWeightsRef<'a> {
-    fn from(w: &'a AttentionWeights) -> Self {
-        Self {
-            hidden: w.hidden,
-            heads: w.heads,
-            wq: &w.wq,
-            wk: &w.wk,
-            wv: &w.wv,
-            wo: &w.wo,
-            bq: &w.bq,
-            bk: &w.bk,
-            bv: &w.bv,
-            bo: &w.bo,
-        }
-    }
-}
-
 impl ProtectedAttention {
     /// One protected autoregressive decode step — see the free
     /// [`decode_step`] this delegates to (borrowing the owned weights).
@@ -743,7 +690,7 @@ impl ProtectedAttention {
 /// training forward, on the single-row matrices.
 ///
 /// Fault-free, the returned row is bit-identical to row `len` of
-/// [`ProtectedAttention::forward_ctx`] over the grown prefix (see the
+/// [`crate::attention::forward_ctx`] over the grown prefix (see the
 /// module docs for why the contract holds); after an injected extreme
 /// value in any of the six decode GEMMs it is *still* bit-identical, via
 /// checksum correction plus exact replay.
@@ -931,7 +878,7 @@ pub fn decode_step(
 #[allow(clippy::needless_range_loop)] // step index t addresses parallel row/prefix structures
 mod tests {
     use super::*;
-    use crate::attention::{AttentionWeights, ForwardOptions, SectionToggles};
+    use crate::attention::{AttentionWeights, AttnForward, SectionToggles};
     use crate::config::ProtectionConfig;
     use crate::report::AbftReport;
     use attn_fault::FaultKind;
@@ -943,6 +890,18 @@ mod tests {
         let w = AttentionWeights::random(hidden, heads, &mut rng);
         let x = rng.normal_matrix(seq, hidden, 0.5);
         (x, ProtectedAttention::new(w, ProtectionConfig::full()))
+    }
+
+    /// The full (training) forward over `x`, fully protected.
+    fn full_forward(attn: &ProtectedAttention, x: &Matrix, mask: Option<&Matrix>) -> AttnForward {
+        let mut report = AbftReport::default();
+        let mut ctx = ForwardCtx {
+            mask,
+            toggles: SectionToggles::all(),
+            hook: None,
+            report: &mut report,
+        };
+        attn.forward_ctx(x, &mut ctx)
     }
 
     fn decode_all(
@@ -978,8 +937,7 @@ mod tests {
         );
         for t in 0..x.rows() {
             let prefix = x.submatrix(0, t + 1, 0, x.cols());
-            let mut r = AbftReport::default();
-            let full = attn.forward(&prefix, ForwardOptions::default(), &mut r);
+            let full = full_forward(&attn, &prefix, None);
             let full_row = full.output.row(t);
             let dec_row = rows[t].row(0);
             for (c, (a, b)) in dec_row.iter().zip(full_row).enumerate() {
@@ -1010,15 +968,7 @@ mod tests {
             let dec = attn.decode_step(&x_row, &mut cache, &mut ctx);
 
             let prefix = x.submatrix(0, t + 1, 0, x.cols());
-            let mut r = AbftReport::default();
-            let full = attn.forward(
-                &prefix,
-                ForwardOptions {
-                    mask: Some(&full_mask),
-                    ..Default::default()
-                },
-                &mut r,
-            );
+            let full = full_forward(&attn, &prefix, Some(&full_mask));
             assert_eq!(
                 dec.row(0).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 full.output
@@ -1277,8 +1227,7 @@ mod tests {
 
         let prefill = 6usize;
         let prefix = x.submatrix(0, prefill, 0, x.cols());
-        let mut r = AbftReport::default();
-        let full = attn.forward(&prefix, ForwardOptions::default(), &mut r);
+        let full = full_forward(&attn, &prefix, None);
         let mut cache = AttnKvCache::for_attention(&attn);
         cache.seed(&full.cache.k, &full.cache.v);
         assert_eq!(cache.len(), prefill);

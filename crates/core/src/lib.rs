@@ -22,14 +22,15 @@
 //!   strings encoded GEMMs, exit-and-re-encode steps, fault-hook taps,
 //!   delayed detection points, and exact-replay refinement into reusable
 //!   protection sections; [`ForwardCtx`] threads the per-execution state
-//!   (mask, toggles, hook, report) through sequential and batched paths.
+//!   (mask, toggles, hook, report) through every forward and decode call.
 //! * [`policy`] — [`ProtectionPolicy`]: single owner of the per-section
 //!   frequency gates (paper §4.5), handing out per-execution
 //!   [`attention::SectionToggles`].
 //! * [`attention`] — the three protection sections `S_AS`, `S_CL`, `S_O`
 //!   with checksum passing across the six attention GEMMs (paper §4.4,
 //!   Fig 5), built on [`section`], including fault-injection hooks for
-//!   campaigns.
+//!   campaigns; [`attention::forward_ctx`] is the one attention entry
+//!   point, over borrowed [`attention::AttentionWeightsRef`] weights.
 //! * [`adaptive`] — Poisson reliability model, fault coverage (FC), fault
 //!   coverage efficiency (FCE), and the greedy detection-frequency
 //!   optimizer of paper Algorithm 1.
@@ -38,9 +39,10 @@
 //!
 //! ```
 //! use attn_tensor::rng::TensorRng;
-//! use attnchecker::attention::{AttentionWeights, ProtectedAttention};
+//! use attnchecker::attention::{AttentionWeights, ProtectedAttention, SectionToggles};
 //! use attnchecker::config::ProtectionConfig;
 //! use attnchecker::report::AbftReport;
+//! use attnchecker::section::ForwardCtx;
 //!
 //! let mut rng = TensorRng::seed_from(0);
 //! let (seq, hidden, heads) = (16, 32, 4);
@@ -48,7 +50,13 @@
 //! let attn = ProtectedAttention::new(weights, ProtectionConfig::full());
 //! let x = rng.normal_matrix(seq, hidden, 0.5);
 //! let mut report = AbftReport::default();
-//! let out = attn.forward_simple(&x, &mut report);
+//! let mut ctx = ForwardCtx {
+//!     mask: None,
+//!     toggles: SectionToggles::all(),
+//!     hook: None,
+//!     report: &mut report,
+//! };
+//! let out = attn.forward_ctx(&x, &mut ctx);
 //! assert_eq!(out.output.rows(), seq);
 //! assert_eq!(out.output.cols(), hidden);
 //! assert!(report.is_quiet()); // fault-free run: nothing detected
@@ -56,7 +64,6 @@
 
 pub mod adaptive;
 pub mod attention;
-pub mod batched;
 pub mod checked;
 pub mod checksum;
 pub mod config;

@@ -1,9 +1,7 @@
 //! GPU machine constants.
 
-use serde::{Deserialize, Serialize};
-
 /// Analytic model of one GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuModel {
     /// Marketing name.
     pub name: &'static str,

@@ -480,9 +480,9 @@ fn catalog_op(name: &str, owner_hint: Option<&str>) -> Option<(&'static str, boo
         "cross_entropy" => Some(("loss", false)),
         "sample_token" => Some(("sampling", false)),
         "add" if owner_hint == Some("Matrix") => Some(("residual-add", false)),
-        "forward_tape" | "forward" if owner_hint == Some("Embedding") => Some(("embedding", false)),
+        "forward_tape" if owner_hint == Some("Embedding") => Some(("embedding", false)),
         "step" | "step_batched" if owner_hint == Some("AdamW") => Some(("optimizer", false)),
-        "forward_tape" | "forward" if owner_hint == Some("LayerNorm") => Some(("layernorm", false)),
+        "forward_tape" if owner_hint == Some("LayerNorm") => Some(("layernorm", false)),
         // Guarded wrappers (screen + exact recompute on violation).
         "softmax_rows_checked"
         | "softmax_rows_checked_inplace"

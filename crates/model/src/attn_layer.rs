@@ -12,9 +12,8 @@ use attn_tensor::guard::softmax_rows_backward_checked;
 use attn_tensor::ops::col_sums;
 use attn_tensor::rng::TensorRng;
 use attn_tensor::{Matrix, OpGuard};
-use attnchecker::attention::{AttentionWeights, AttnCache, ProtectedAttention, SectionToggles};
+use attnchecker::attention::{forward_ctx, AttentionWeightsRef, AttnCache};
 use attnchecker::config::ProtectionConfig;
-use attnchecker::report::AbftReport;
 use attnchecker::section::ForwardCtx;
 
 /// Attention layer owning its parameters and protection policy.
@@ -41,7 +40,6 @@ pub struct AttentionLayer {
     /// Protection policy (strategy + thresholds; per-execution toggles come
     /// from the trainer's frequency gates).
     pub protection: ProtectionConfig,
-    cache: Option<AttnCache>,
 }
 
 impl AttentionLayer {
@@ -65,7 +63,6 @@ impl AttentionLayer {
             bo: Param::zeros(format!("{name}.bo"), 1, hidden),
             heads,
             protection,
-            cache: None,
         }
     }
 
@@ -74,19 +71,21 @@ impl AttentionLayer {
         self.wq.value.rows()
     }
 
-    /// Snapshot the parameters into the `attnchecker` weight struct.
-    pub fn weights_snapshot(&self) -> AttentionWeights {
-        AttentionWeights {
+    /// Borrowed view of the parameters — the one place the layer's
+    /// `Param`s map onto the `attnchecker` weight fields, shared by the
+    /// training forward and the decode step (no per-call weight copy).
+    pub fn weights(&self) -> AttentionWeightsRef<'_> {
+        AttentionWeightsRef {
             hidden: self.hidden(),
             heads: self.heads,
-            wq: self.wq.value.clone(),
-            wk: self.wk.value.clone(),
-            wv: self.wv.value.clone(),
-            wo: self.wo.value.clone(),
-            bq: self.bq.bias().to_vec(),
-            bk: self.bk.bias().to_vec(),
-            bv: self.bv.bias().to_vec(),
-            bo: self.bo.bias().to_vec(),
+            wq: &self.wq.value,
+            wk: &self.wk.value,
+            wv: &self.wv.value,
+            wo: &self.wo.value,
+            bq: self.bq.bias(),
+            bk: self.bk.bias(),
+            bv: self.bv.bias(),
+            bo: self.bo.bias(),
         }
     }
 
@@ -95,29 +94,8 @@ impl AttentionLayer {
     /// carries the mask, per-execution section toggles, the
     /// fault-injection hook, and the report.
     pub fn forward_tape(&self, x: &Matrix, ctx: &mut ForwardCtx<'_, '_>) -> (Matrix, AttnCache) {
-        let attn = ProtectedAttention::new(self.weights_snapshot(), self.protection);
-        let out = attn.forward_ctx(x, ctx);
+        let out = forward_ctx(&self.weights(), &self.protection, x, ctx);
         (out.output, out.cache)
-    }
-
-    /// Protected forward pass caching the tape for [`Self::backward`].
-    pub fn forward(&mut self, x: &Matrix, ctx: &mut ForwardCtx<'_, '_>) -> Matrix {
-        let (y, cache) = self.forward_tape(x, ctx);
-        self.cache = Some(cache);
-        y
-    }
-
-    /// Unprotected, cache-free forward for inference/timing.
-    pub fn forward_inference(&self, x: &Matrix, mask: Option<&Matrix>) -> Matrix {
-        let attn = ProtectedAttention::new(self.weights_snapshot(), ProtectionConfig::off());
-        let mut report = AbftReport::default();
-        let mut ctx = ForwardCtx {
-            mask,
-            toggles: SectionToggles::none(),
-            hook: None,
-            report: &mut report,
-        };
-        attn.forward_ctx(x, &mut ctx).output
     }
 
     /// Stateless backward over a tape; returns `dx` and writes all eight
@@ -191,22 +169,6 @@ impl AttentionLayer {
         dx.axpy(1.0, &matmul_nt(&dv, &self.wv.value));
         dx
     }
-
-    /// Backward pass; returns `dx` and accumulates all eight parameter
-    /// gradients.
-    ///
-    /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let cache = self
-            .cache
-            .take()
-            .expect("AttentionLayer::backward before forward");
-        let mut grads = Grads::new();
-        let dx = self.backward_tape(dy, &cache, &mut grads);
-        grads.merge_into(self);
-        dx
-    }
 }
 
 impl HasParams for AttentionLayer {
@@ -226,35 +188,56 @@ impl HasParams for AttentionLayer {
 mod tests {
     use super::*;
     use attn_tensor::ops::causal_mask;
+    use attnchecker::attention::{
+        AttentionWeights, AttnOp, FaultSite, ProtectedAttention, SectionToggles,
+    };
+    use attnchecker::checked::CheckedMatrix;
+    use attnchecker::report::AbftReport;
 
     fn fwd(
-        layer: &mut AttentionLayer,
+        layer: &AttentionLayer,
         x: &Matrix,
         toggles: SectionToggles,
         mask: Option<&Matrix>,
         report: &mut AbftReport,
-    ) -> Matrix {
+    ) -> (Matrix, AttnCache) {
         let mut ctx = ForwardCtx {
             mask,
             toggles,
             hook: None,
             report,
         };
-        layer.forward(x, &mut ctx)
+        layer.forward_tape(x, &mut ctx)
+    }
+
+    /// Forward + backward: `(dx, parameter gradients)`.
+    fn grads_of(
+        layer: &AttentionLayer,
+        x: &Matrix,
+        dy: &Matrix,
+        toggles: SectionToggles,
+        mask: Option<&Matrix>,
+    ) -> (Matrix, Grads) {
+        let mut report = AbftReport::default();
+        let (_, cache) = fwd(layer, x, toggles, mask, &mut report);
+        let mut grads = Grads::new();
+        let dx = layer.backward_tape(dy, &cache, &mut grads);
+        (dx, grads)
     }
 
     fn loss_of(layer: &AttentionLayer, x: &Matrix, dy: &Matrix, mask: Option<&Matrix>) -> f32 {
-        let y = layer.forward_inference(x, mask);
+        let mut report = AbftReport::default();
+        let (y, _) = fwd(layer, x, SectionToggles::none(), mask, &mut report);
         y.data().iter().zip(dy.data()).map(|(&a, &b)| a * b).sum()
     }
 
     #[test]
     fn forward_shapes() {
         let mut rng = TensorRng::seed_from(1);
-        let mut layer = AttentionLayer::new("a", 16, 4, ProtectionConfig::full(), &mut rng);
+        let layer = AttentionLayer::new("a", 16, 4, ProtectionConfig::full(), &mut rng);
         let x = rng.normal_matrix(6, 16, 0.5);
         let mut report = AbftReport::default();
-        let y = fwd(&mut layer, &x, SectionToggles::all(), None, &mut report);
+        let (y, _) = fwd(&layer, &x, SectionToggles::all(), None, &mut report);
         assert_eq!((y.rows(), y.cols()), (6, 16));
         assert!(report.is_quiet());
     }
@@ -262,12 +245,10 @@ mod tests {
     #[test]
     fn gradient_check_input() {
         let mut rng = TensorRng::seed_from(2);
-        let mut layer = AttentionLayer::new("a", 8, 2, ProtectionConfig::off(), &mut rng);
+        let layer = AttentionLayer::new("a", 8, 2, ProtectionConfig::off(), &mut rng);
         let x = rng.normal_matrix(4, 8, 0.7);
         let dy = rng.normal_matrix(4, 8, 1.0);
-        let mut report = AbftReport::default();
-        let _ = fwd(&mut layer, &x, SectionToggles::all(), None, &mut report);
-        let dx = layer.backward(&dy);
+        let (dx, _) = grads_of(&layer, &x, &dy, SectionToggles::all(), None);
 
         let eps = 1e-2;
         for r in 0..4 {
@@ -290,17 +271,17 @@ mod tests {
     #[test]
     fn gradient_check_wq_and_wo() {
         let mut rng = TensorRng::seed_from(3);
-        let mut layer = AttentionLayer::new("a", 6, 2, ProtectionConfig::off(), &mut rng);
+        let layer = AttentionLayer::new("a", 6, 2, ProtectionConfig::off(), &mut rng);
         let x = rng.normal_matrix(3, 6, 0.7);
         let dy = rng.normal_matrix(3, 6, 1.0);
-        let mut report = AbftReport::default();
-        let _ = fwd(&mut layer, &x, SectionToggles::all(), None, &mut report);
-        let _ = layer.backward(&dy);
+        let (_, grads) = grads_of(&layer, &x, &dy, SectionToggles::all(), None);
+        let dwq = grads.get("a.wq").expect("dWq");
+        let dwo = grads.get("a.wo").expect("dWo");
 
         let eps = 1e-2;
         for r in 0..6 {
             for c in 0..6 {
-                for (pick, grad) in [(0usize, &layer.wq.grad), (1, &layer.wo.grad)] {
+                for (pick, grad) in [(0usize, dwq), (1, dwo)] {
                     let mut lp = layer.clone();
                     let mut lm = layer.clone();
                     match pick {
@@ -328,19 +309,11 @@ mod tests {
     #[test]
     fn gradient_check_with_causal_mask() {
         let mut rng = TensorRng::seed_from(4);
-        let mut layer = AttentionLayer::new("a", 8, 2, ProtectionConfig::off(), &mut rng);
+        let layer = AttentionLayer::new("a", 8, 2, ProtectionConfig::off(), &mut rng);
         let x = rng.normal_matrix(4, 8, 0.7);
         let dy = rng.normal_matrix(4, 8, 1.0);
         let mask = causal_mask(4);
-        let mut report = AbftReport::default();
-        let _ = fwd(
-            &mut layer,
-            &x,
-            SectionToggles::none(),
-            Some(&mask),
-            &mut report,
-        );
-        let dx = layer.backward(&dy);
+        let (dx, _) = grads_of(&layer, &x, &dy, SectionToggles::none(), Some(&mask));
 
         let eps = 1e-2;
         for r in 0..4 {
@@ -364,19 +337,16 @@ mod tests {
     #[test]
     fn protected_and_unprotected_backward_agree_when_fault_free() {
         let mut rng = TensorRng::seed_from(5);
-        let mut a = AttentionLayer::new("a", 8, 2, ProtectionConfig::full(), &mut rng);
+        let a = AttentionLayer::new("a", 8, 2, ProtectionConfig::full(), &mut rng);
         let mut b = a.clone();
         b.protection = ProtectionConfig::off();
         let x = rng.normal_matrix(4, 8, 0.7);
         let dy = rng.normal_matrix(4, 8, 1.0);
-        let mut r1 = AbftReport::default();
-        let mut r2 = AbftReport::default();
-        let _ = fwd(&mut a, &x, SectionToggles::all(), None, &mut r1);
-        let _ = fwd(&mut b, &x, SectionToggles::none(), None, &mut r2);
-        let dxa = a.backward(&dy);
-        let dxb = b.backward(&dy);
+        let (dxa, ga) = grads_of(&a, &x, &dy, SectionToggles::all(), None);
+        let (dxb, gb) = grads_of(&b, &x, &dy, SectionToggles::none(), None);
         assert!(dxa.approx_eq(&dxb, 1e-3, 1e-3));
-        assert!(a.wq.grad.approx_eq(&b.wq.grad, 1e-3, 1e-3));
+        let (gqa, gqb) = (ga.get("a.wq").unwrap(), gb.get("a.wq").unwrap());
+        assert!(gqa.approx_eq(gqb, 1e-3, 1e-3));
     }
 
     #[test]
@@ -384,5 +354,87 @@ mod tests {
         let mut rng = TensorRng::seed_from(6);
         let mut layer = AttentionLayer::new("a", 8, 2, ProtectionConfig::full(), &mut rng);
         assert_eq!(layer.param_count(), 4 * 64 + 4 * 8);
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn borrowed_view_matches_owned_weights_bit_for_bit() {
+        // The layer's one borrowed view against an owned copy built field
+        // by field from its `Param`s. Distinct random biases make a
+        // swapped field in the view show up as a bit difference.
+        let mut rng = TensorRng::seed_from(7);
+        let mut layer = AttentionLayer::new("a", 16, 4, ProtectionConfig::full(), &mut rng);
+        for b in [&mut layer.bq, &mut layer.bk, &mut layer.bv, &mut layer.bo] {
+            b.value = rng.normal_matrix(1, 16, 0.5);
+        }
+        let owned = ProtectedAttention::new(
+            AttentionWeights {
+                hidden: 16,
+                heads: 4,
+                wq: layer.wq.value.clone(),
+                wk: layer.wk.value.clone(),
+                wv: layer.wv.value.clone(),
+                wo: layer.wo.value.clone(),
+                bq: layer.bq.bias().to_vec(),
+                bk: layer.bk.bias().to_vec(),
+                bv: layer.bv.bias().to_vec(),
+                bo: layer.bo.bias().to_vec(),
+            },
+            layer.protection,
+        );
+        let x = rng.normal_matrix(6, 16, 0.5);
+        let mask = causal_mask(6);
+
+        let strike = |op: Option<AttnOp>| {
+            move |site: FaultSite, m: &mut CheckedMatrix| {
+                if Some(site.op) == op && site.head.unwrap_or(1) == 1 {
+                    m.set(m.rows() / 2, m.cols() / 3, f32::INFINITY);
+                }
+            }
+        };
+        for op in std::iter::once(None).chain(AttnOp::ALL.map(Some)) {
+            let mut hook_a = strike(op);
+            let mut ra = AbftReport::default();
+            let mut ctx = ForwardCtx {
+                mask: Some(&mask),
+                toggles: SectionToggles::all(),
+                hook: Some(&mut hook_a),
+                report: &mut ra,
+            };
+            let (ya, ca) = layer.forward_tape(&x, &mut ctx);
+
+            let mut hook_b = strike(op);
+            let mut rb = AbftReport::default();
+            let mut ctx = ForwardCtx {
+                mask: Some(&mask),
+                toggles: SectionToggles::all(),
+                hook: Some(&mut hook_b),
+                report: &mut rb,
+            };
+            let b = owned.forward_ctx(&x, &mut ctx);
+
+            assert_eq!(bits(&ya), bits(&b.output), "{op:?}: output");
+            for (name, ma, mb) in [
+                ("q", &ca.q, &b.cache.q),
+                ("k", &ca.k, &b.cache.k),
+                ("v", &ca.v, &b.cache.v),
+                ("cl", &ca.cl, &b.cache.cl),
+            ] {
+                assert_eq!(bits(ma), bits(mb), "{op:?}: cache.{name}");
+            }
+            for (h, (pa, pb)) in ca.ap.iter().zip(&b.cache.ap).enumerate() {
+                assert_eq!(bits(pa), bits(pb), "{op:?}: cache.ap[{h}]");
+            }
+            // Debug text, not `==`: a corrected NaN's `old_value` never
+            // compares equal to itself.
+            assert_eq!(format!("{ra:?}"), format!("{rb:?}"), "{op:?}: reports");
+            if op.is_some() {
+                assert!(ra.correction_count() > 0, "{op:?}: fault not corrected");
+                assert_eq!(ra.unrecovered, 0, "{op:?}");
+            }
+        }
     }
 }

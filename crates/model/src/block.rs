@@ -17,7 +17,7 @@ use attn_tensor::rng::TensorRng;
 use attn_tensor::{Matrix, OpGuard};
 use attnchecker::config::ProtectionConfig;
 use attnchecker::section::{ForwardCtx, GuardedSection};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Residual/normalisation arrangement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,13 +42,6 @@ pub struct TransformerBlock {
     pub ln2: LayerNorm,
     /// Residual arrangement.
     pub arch: BlockArch,
-    /// Wall time of the attention sub-layer in the most recent forward —
-    /// the model sums these into its Fig 7 "attention mechanism" timer.
-    pub attn_time_of_last_forward: Duration,
-    /// Wall time of the FFN sub-layer in the most recent forward (feeds the
-    /// FFN-protection overhead column of the Fig 7 reproduction).
-    pub ffn_time_of_last_forward: Duration,
-    tape: Option<BlockTape>,
 }
 
 impl TransformerBlock {
@@ -68,9 +61,6 @@ impl TransformerBlock {
             ln1: LayerNorm::new(&format!("{name}.ln1"), hidden, 1e-5),
             ln2: LayerNorm::new(&format!("{name}.ln2"), hidden, 1e-5),
             arch,
-            attn_time_of_last_forward: Duration::ZERO,
-            ffn_time_of_last_forward: Duration::ZERO,
-            tape: None,
         }
     }
 
@@ -168,31 +158,6 @@ impl TransformerBlock {
             }
         }
     }
-
-    /// Forward pass caching the tape for [`Self::backward`]; `ctx` flows
-    /// through both protected sub-layers.
-    pub fn forward(&mut self, x: &Matrix, ctx: &mut ForwardCtx<'_, '_>) -> Matrix {
-        let (y, tape) = self.forward_tape(x, ctx);
-        self.attn_time_of_last_forward = tape.attn_time;
-        self.ffn_time_of_last_forward = tape.ffn_time;
-        self.tape = Some(tape);
-        y
-    }
-
-    /// Backward pass; returns `dx`.
-    ///
-    /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let tape = self
-            .tape
-            .take()
-            .expect("TransformerBlock::backward before forward");
-        let mut grads = Grads::new();
-        let dx = self.backward_tape(dy, &tape, &mut grads);
-        grads.merge_into(self);
-        dx
-    }
 }
 
 impl HasParams for TransformerBlock {
@@ -214,36 +179,29 @@ mod tests {
         TransformerBlock::new("b", 8, 2, 16, arch, ProtectionConfig::off(), rng)
     }
 
-    fn forward_unprotected(
-        b: &mut TransformerBlock,
-        x: &Matrix,
-        report: &mut AbftReport,
-    ) -> Matrix {
+    fn forward_unprotected(b: &TransformerBlock, x: &Matrix) -> (Matrix, BlockTape) {
+        let mut report = AbftReport::default();
         let mut ctx = ForwardCtx {
             mask: None,
             toggles: SectionToggles::none(),
             hook: None,
-            report,
+            report: &mut report,
         };
-        b.forward(x, &mut ctx)
+        b.forward_tape(x, &mut ctx)
     }
 
     fn run_loss(b: &TransformerBlock, x: &Matrix, dy: &Matrix) -> f32 {
-        // Clone so caches do not leak between finite-difference probes.
-        let mut c = b.clone();
-        let mut report = AbftReport::default();
-        let y = forward_unprotected(&mut c, x, &mut report);
+        let (y, _) = forward_unprotected(b, x);
         y.data().iter().zip(dy.data()).map(|(&a, &b)| a * b).sum()
     }
 
     fn grad_check(arch: BlockArch) {
         let mut rng = TensorRng::seed_from(7);
-        let mut b = block(arch, &mut rng);
+        let b = block(arch, &mut rng);
         let x = rng.normal_matrix(4, 8, 0.6);
         let dy = rng.normal_matrix(4, 8, 1.0);
-        let mut report = AbftReport::default();
-        let _ = forward_unprotected(&mut b, &x, &mut report);
-        let dx = b.backward(&dy);
+        let (_, tape) = forward_unprotected(&b, &x);
+        let dx = b.backward_tape(&dy, &tape, &mut Grads::new());
 
         let eps = 1e-2;
         for r in 0..4 {
@@ -276,10 +234,9 @@ mod tests {
     fn shapes_preserved() {
         let mut rng = TensorRng::seed_from(8);
         for arch in [BlockArch::PostLn, BlockArch::PreLn] {
-            let mut b = block(arch, &mut rng);
+            let b = block(arch, &mut rng);
             let x = rng.normal_matrix(5, 8, 1.0);
-            let mut report = AbftReport::default();
-            let y = forward_unprotected(&mut b, &x, &mut report);
+            let (y, _) = forward_unprotected(&b, &x);
             assert_eq!((y.rows(), y.cols()), (5, 8));
         }
     }
@@ -296,8 +253,7 @@ mod tests {
             }
         });
         let x = rng.normal_matrix(3, 8, 1.0);
-        let mut report = AbftReport::default();
-        let y = forward_unprotected(&mut b, &x, &mut report);
+        let (y, _) = forward_unprotected(&b, &x);
         assert!(y.approx_eq(&x, 1e-5, 1e-5));
     }
 
@@ -305,12 +261,11 @@ mod tests {
     fn protected_block_matches_unprotected_when_fault_free() {
         let mut rng = TensorRng::seed_from(10);
         for arch in [BlockArch::PostLn, BlockArch::PreLn] {
-            let mut off = block(arch, &mut rng);
+            let off = block(arch, &mut rng);
             let mut on = off.clone();
             on.attn.protection = ProtectionConfig::full();
             let x = rng.normal_matrix(5, 8, 0.7);
-            let mut r_off = AbftReport::default();
-            let y_off = forward_unprotected(&mut off, &x, &mut r_off);
+            let (y_off, _) = forward_unprotected(&off, &x);
             let mut r_on = AbftReport::default();
             let mut ctx = ForwardCtx {
                 mask: None,
@@ -318,7 +273,7 @@ mod tests {
                 hook: None,
                 report: &mut r_on,
             };
-            let y_on = on.forward(&x, &mut ctx);
+            let (y_on, _) = on.forward_tape(&x, &mut ctx);
             assert_eq!(y_on, y_off, "{arch:?}: protection must be transparent");
             assert!(r_on.is_quiet());
             // 3 attention sections + 1 FFN section ran.

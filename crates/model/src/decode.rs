@@ -25,9 +25,7 @@ use attn_tensor::Matrix;
 use attnchecker::attention::{FaultSite, SectionToggles};
 use attnchecker::checked::CheckedMatrix;
 use attnchecker::config::ProtectionConfig;
-use attnchecker::decode::{
-    decode_step as attn_decode_step, AttentionWeightsRef, AttnKvCache, ColdKvCache,
-};
+use attnchecker::decode::{decode_step as attn_decode_step, AttnKvCache, ColdKvCache};
 use attnchecker::report::AbftReport;
 use attnchecker::section::{ForwardCtx, GuardedSection};
 
@@ -276,19 +274,7 @@ impl TransformerModel {
             // Borrowed weight view: a decoded token must not pay a
             // hidden×hidden snapshot clone per layer on the serving path.
             let al = &block.attn;
-            let weights = AttentionWeightsRef {
-                hidden: al.hidden(),
-                heads: al.heads,
-                wq: &al.wq.value,
-                wk: &al.wk.value,
-                wv: &al.wv.value,
-                wo: &al.wo.value,
-                bq: al.bq.bias(),
-                bk: al.bk.bias(),
-                bv: al.bv.bias(),
-                bo: al.bo.bias(),
-            };
-            let a = attn_decode_step(&weights, &al.protection, &n1, cache, &mut ctx);
+            let a = attn_decode_step(&al.weights(), &al.protection, &n1, cache, &mut ctx);
             let res = residual_add_checked(&h, &a, &op_guard);
             let (n2, _) = block.ln2.forward_tape_checked(&res, &op_guard);
             let block_protection = block.attn.protection;

@@ -15,7 +15,6 @@ pub struct Embedding {
     /// Positions start at this offset (RoBERTa reserves low position ids
     /// for padding; BERT/GPT start at 0).
     pub pos_offset: usize,
-    cache_tokens: Option<Vec<usize>>,
 }
 
 impl Embedding {
@@ -39,7 +38,6 @@ impl Embedding {
                 rng.trunc_normal_matrix(max_seq + pos_offset, hidden, 0.02),
             ),
             pos_offset,
-            cache_tokens: None,
         }
     }
 
@@ -99,31 +97,6 @@ impl Embedding {
             }
         }
     }
-
-    /// Embed a token sequence, caching the tokens for [`Self::backward`].
-    ///
-    /// # Panics
-    /// Panics on out-of-vocabulary ids or sequences longer than the
-    /// position table.
-    pub fn forward(&mut self, tokens: &[usize]) -> Matrix {
-        let out = self.forward_tape(tokens);
-        self.cache_tokens = Some(tokens.to_vec());
-        out
-    }
-
-    /// Backward: scatter-add `dy` rows into the token and position tables.
-    ///
-    /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Matrix) {
-        let tokens = self
-            .cache_tokens
-            .take()
-            .expect("Embedding::backward before forward");
-        let mut grads = Grads::new();
-        self.backward_tape(dy, &tokens, &mut grads);
-        grads.merge_into(self);
-    }
 }
 
 impl HasParams for Embedding {
@@ -140,8 +113,8 @@ mod tests {
     #[test]
     fn forward_adds_token_and_position() {
         let mut rng = TensorRng::seed_from(1);
-        let mut emb = Embedding::new("e", 10, 8, 4, 0, &mut rng);
-        let x = emb.forward(&[3, 7]);
+        let emb = Embedding::new("e", 10, 8, 4, 0, &mut rng);
+        let x = emb.forward_tape(&[3, 7]);
         for d in 0..4 {
             assert!((x[(0, d)] - emb.tok.value[(3, d)] - emb.pos.value[(0, d)]).abs() < 1e-6);
             assert!((x[(1, d)] - emb.tok.value[(7, d)] - emb.pos.value[(1, d)]).abs() < 1e-6);
@@ -151,8 +124,8 @@ mod tests {
     #[test]
     fn position_offset_shifts_rows() {
         let mut rng = TensorRng::seed_from(2);
-        let mut emb = Embedding::new("e", 10, 8, 4, 2, &mut rng);
-        let x = emb.forward(&[0]);
+        let emb = Embedding::new("e", 10, 8, 4, 2, &mut rng);
+        let x = emb.forward_tape(&[0]);
         for d in 0..4 {
             assert!((x[(0, d)] - emb.tok.value[(0, d)] - emb.pos.value[(2, d)]).abs() < 1e-6);
         }
@@ -161,17 +134,21 @@ mod tests {
     #[test]
     fn backward_scatters_including_repeats() {
         let mut rng = TensorRng::seed_from(3);
-        let mut emb = Embedding::new("e", 10, 8, 4, 0, &mut rng);
-        let _ = emb.forward(&[5, 5, 2]);
+        let emb = Embedding::new("e", 10, 8, 4, 0, &mut rng);
+        let tokens = [5, 5, 2];
+        let _ = emb.forward_tape(&tokens);
         let dy = Matrix::full(3, 4, 1.0);
-        emb.backward(&dy);
+        let mut grads = Grads::new();
+        emb.backward_tape(&dy, &tokens, &mut grads);
+        let dtok = grads.get("e.tok").expect("token grads");
+        let dpos = grads.get("e.pos").expect("position grads");
         // Token 5 appears twice → gradient 2, token 2 once → 1.
-        assert!(emb.tok.grad.row(5).iter().all(|&g| (g - 2.0).abs() < 1e-6));
-        assert!(emb.tok.grad.row(2).iter().all(|&g| (g - 1.0).abs() < 1e-6));
-        assert!(attn_tensor::float::all_exactly_zero(emb.tok.grad.row(0)));
+        assert!(dtok.row(5).iter().all(|&g| (g - 2.0).abs() < 1e-6));
+        assert!(dtok.row(2).iter().all(|&g| (g - 1.0).abs() < 1e-6));
+        assert!(attn_tensor::float::all_exactly_zero(dtok.row(0)));
         // Each position appears once.
         for p in 0..3 {
-            assert!(emb.pos.grad.row(p).iter().all(|&g| (g - 1.0).abs() < 1e-6));
+            assert!(dpos.row(p).iter().all(|&g| (g - 1.0).abs() < 1e-6));
         }
     }
 
@@ -179,7 +156,7 @@ mod tests {
     #[should_panic]
     fn oov_token_panics() {
         let mut rng = TensorRng::seed_from(4);
-        let mut emb = Embedding::new("e", 10, 8, 4, 0, &mut rng);
-        let _ = emb.forward(&[11]);
+        let emb = Embedding::new("e", 10, 8, 4, 0, &mut rng);
+        let _ = emb.forward_tape(&[11]);
     }
 }

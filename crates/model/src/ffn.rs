@@ -15,7 +15,6 @@ use crate::linear::ProtectedLinear;
 use crate::param::{Grads, HasParams, Param};
 use crate::tape::FfnTape;
 use attn_tensor::guard::{gelu_backward_checked, gelu_matrix_checked, gelu_matrix_checked_inplace};
-use attn_tensor::ops::{gelu_backward, gelu_matrix};
 use attn_tensor::rng::TensorRng;
 use attn_tensor::{Matrix, OpGuard};
 use attnchecker::attention::AttnOp;
@@ -31,7 +30,6 @@ pub struct FeedForward {
     pub lin1: ProtectedLinear,
     /// Contraction projection (tap site [`AttnOp::Ffn2`]).
     pub lin2: ProtectedLinear,
-    cache_pre: Option<Matrix>,
 }
 
 impl FeedForward {
@@ -40,19 +38,13 @@ impl FeedForward {
         Self {
             lin1: ProtectedLinear::new(&format!("{name}.lin1"), hidden, inner, AttnOp::Ffn1, rng),
             lin2: ProtectedLinear::new(&format!("{name}.lin2"), inner, hidden, AttnOp::Ffn2, rng),
-            cache_pre: None,
         }
     }
 
-    /// Stateless unprotected forward: returns the output and the
-    /// activation tape.
-    pub fn forward_tape(&self, x: &Matrix) -> (Matrix, FfnTape) {
-        self.forward_tape_with(x, &OpGuard::off())
-    }
-
-    /// Stateless forward with a guarded GELU: the nonlinearity's output
-    /// is screened element-wise and healed by exact recompute on
-    /// violation. The GEMMs stay unprotected (that is
+    /// Stateless forward with a guarded GELU: returns the output and the
+    /// activation tape. The nonlinearity's output is screened element-wise
+    /// and healed by exact recompute on violation (`OpGuard::off()` gives
+    /// the plain forward). The GEMMs stay unprotected (that is
     /// [`Self::forward_guarded_tape`]'s job).
     pub fn forward_tape_with(&self, x: &Matrix, g: &OpGuard) -> (Matrix, FfnTape) {
         let (pre, x_tape) = self.lin1.inner.forward_tape(x);
@@ -71,9 +63,11 @@ impl FeedForward {
     /// Stateless guarded forward: both GEMMs run inside one `S_FFN`
     /// section under `config`, gated by `ctx.toggles.s_ffn`, with fault
     /// taps at [`AttnOp::Ffn1`]/[`AttnOp::Ffn2`] and in-place
-    /// (rollback-free) correction. Degrades to the exact unprotected
-    /// computation when the section is off. The returned tape holds the
-    /// healed activations, so backward proceeds exactly as fault-free.
+    /// (rollback-free) correction. Degrades to the exact unprotected GEMMs
+    /// when the section is off; the GELU op guard stays on whenever
+    /// `config` is not off, like every other op guard. The returned tape
+    /// holds the healed activations, so backward proceeds exactly as
+    /// fault-free.
     pub fn forward_guarded_tape(
         &self,
         x: &Matrix,
@@ -86,15 +80,17 @@ impl FeedForward {
             ctx.toggles.s_ffn,
             ctx.report,
         );
+        let op_guard = GuardedSection::guard_step(config);
         if !sec.active() && ctx.hook.is_none() {
-            // Nothing to detect and no taps to fire: the inactive guarded
+            // No GEMM detection and no taps to fire: the inactive guarded
             // pipeline computes the identical bits but pays several
             // full-matrix copies (plain wraps + logical extractions), which
             // would tax the unprotected baseline every overhead experiment
-            // divides by.
-            return self.forward_tape(x);
+            // divides by. GELU is still screened.
+            let out = self.forward_tape_with(x, &op_guard);
+            ctx.report.absorb_op_guard(op_guard.take_stats());
+            return out;
         }
-        let op_guard = GuardedSection::guard_step(config);
         // The block input enters S_FFN through the fused encode path of
         // `ProtectedLinear`: no standalone encode sweep over `x`.
         let xc = sec.operand(x);
@@ -136,48 +132,6 @@ impl FeedForward {
         let dpre = gelu_backward_checked(&tape.pre, &dact, g);
         self.lin1.backward_tape(&dpre, &tape.x, grads)
     }
-
-    /// Unprotected forward pass with caching.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let pre = self.lin1.forward(x);
-        let act = gelu_matrix(&pre);
-        self.cache_pre = Some(pre);
-        self.lin2.forward(&act)
-    }
-
-    /// Guarded forward with caching — see [`Self::forward_guarded_tape`].
-    pub fn forward_guarded(
-        &mut self,
-        x: &Matrix,
-        config: &ProtectionConfig,
-        ctx: &mut ForwardCtx<'_, '_>,
-    ) -> Matrix {
-        let (y, tape) = self.forward_guarded_tape(x, config, ctx);
-        self.lin1.inner.cache_x = Some(tape.x);
-        self.cache_pre = Some(tape.pre);
-        self.lin2.inner.cache_x = Some(tape.act);
-        y
-    }
-
-    /// Forward without caching.
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let pre = self.lin1.forward_inference(x);
-        self.lin2.forward_inference(&gelu_matrix(&pre))
-    }
-
-    /// Backward pass; returns `dx`.
-    ///
-    /// # Panics
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let pre = self
-            .cache_pre
-            .take()
-            .expect("FeedForward::backward before forward");
-        let dact = self.lin2.backward(dy);
-        let dpre = gelu_backward(&pre, &dact);
-        self.lin1.backward(&dpre)
-    }
 }
 
 impl HasParams for FeedForward {
@@ -195,28 +149,42 @@ mod tests {
     use attnchecker::checked::CheckedMatrix;
     use attnchecker::report::AbftReport;
 
+    /// Plain (unguarded) forward output.
+    fn plain(f: &FeedForward, x: &Matrix) -> Matrix {
+        f.forward_tape_with(x, &OpGuard::off()).0
+    }
+
+    /// Scalar loss `Σ(y ⊙ dy)` of a plain forward over `x`.
+    fn loss(f: &FeedForward, x: &Matrix, dy: &Matrix) -> f32 {
+        let y = plain(f, x);
+        y.data().iter().zip(dy.data()).map(|(&a, &b)| a * b).sum()
+    }
+
+    /// Plain forward + backward: `(dx, parameter gradients)`.
+    fn grads_of(f: &FeedForward, x: &Matrix, dy: &Matrix) -> (Matrix, Grads) {
+        let (_, tape) = f.forward_tape_with(x, &OpGuard::off());
+        let mut grads = Grads::new();
+        let dx = f.backward_tape(dy, &tape, &mut grads);
+        (dx, grads)
+    }
+
     #[test]
     fn shapes() {
         let mut rng = TensorRng::seed_from(1);
-        let mut ffn = FeedForward::new("f", 8, 32, &mut rng);
+        let ffn = FeedForward::new("f", 8, 32, &mut rng);
         let x = rng.normal_matrix(5, 8, 1.0);
-        let y = ffn.forward(&x);
+        let y = plain(&ffn, &x);
         assert_eq!((y.rows(), y.cols()), (5, 8));
     }
 
     #[test]
     fn gradient_check_dx() {
         let mut rng = TensorRng::seed_from(2);
-        let mut ffn = FeedForward::new("f", 4, 8, &mut rng);
+        let ffn = FeedForward::new("f", 4, 8, &mut rng);
         let x = rng.normal_matrix(2, 4, 1.0);
         let dy = rng.normal_matrix(2, 4, 1.0);
-        let _ = ffn.forward(&x);
-        let dx = ffn.backward(&dy);
+        let (dx, _) = grads_of(&ffn, &x, &dy);
 
-        let loss = |f: &FeedForward, xx: &Matrix| -> f32 {
-            let y = f.forward_inference(xx);
-            y.data().iter().zip(dy.data()).map(|(&a, &b)| a * b).sum()
-        };
         let eps = 1e-2;
         for r in 0..2 {
             for c in 0..4 {
@@ -224,7 +192,7 @@ mod tests {
                 xp[(r, c)] += eps;
                 let mut xm = x.clone();
                 xm[(r, c)] -= eps;
-                let fd = (loss(&ffn, &xp) - loss(&ffn, &xm)) / (2.0 * eps);
+                let fd = (loss(&ffn, &xp, &dy) - loss(&ffn, &xm, &dy)) / (2.0 * eps);
                 assert!(
                     (fd - dx[(r, c)]).abs() < 3e-2,
                     "dx ({r},{c}): fd {fd} vs {}",
@@ -237,16 +205,12 @@ mod tests {
     #[test]
     fn gradient_check_weights() {
         let mut rng = TensorRng::seed_from(3);
-        let mut ffn = FeedForward::new("f", 3, 6, &mut rng);
+        let ffn = FeedForward::new("f", 3, 6, &mut rng);
         let x = rng.normal_matrix(2, 3, 1.0);
         let dy = rng.normal_matrix(2, 3, 1.0);
-        let _ = ffn.forward(&x);
-        let _ = ffn.backward(&dy);
+        let (_, grads) = grads_of(&ffn, &x, &dy);
+        let dw1 = grads.get("f.lin1.w").expect("dW1");
 
-        let loss = |f: &FeedForward, xx: &Matrix| -> f32 {
-            let y = f.forward_inference(xx);
-            y.data().iter().zip(dy.data()).map(|(&a, &b)| a * b).sum()
-        };
         let eps = 1e-2;
         for r in 0..3 {
             for c in 0..6 {
@@ -254,11 +218,8 @@ mod tests {
                 fp.lin1.inner.w.value[(r, c)] += eps;
                 let mut fm = ffn.clone();
                 fm.lin1.inner.w.value[(r, c)] -= eps;
-                let fd = (loss(&fp, &x) - loss(&fm, &x)) / (2.0 * eps);
-                assert!(
-                    (fd - ffn.lin1.inner.w.grad[(r, c)]).abs() < 3e-2,
-                    "dW1 ({r},{c})"
-                );
+                let fd = (loss(&fp, &x, &dy) - loss(&fm, &x, &dy)) / (2.0 * eps);
+                assert!((fd - dw1[(r, c)]).abs() < 3e-2, "dW1 ({r},{c})");
             }
         }
     }
@@ -271,15 +232,17 @@ mod tests {
         assert_eq!(ffn.param_count(), 148);
     }
 
+    /// Guarded forward with only `S_FFN` gated by `s_ffn`: `(output, tape,
+    /// report)`.
     fn guarded(
-        ffn: &mut FeedForward,
+        ffn: &FeedForward,
         x: &Matrix,
         config: &ProtectionConfig,
         s_ffn: bool,
         hook: Option<attnchecker::attention::FaultHook<'_>>,
-    ) -> (Matrix, AbftReport) {
+    ) -> (Matrix, FfnTape, AbftReport) {
         let mut report = AbftReport::default();
-        let out = {
+        let (out, tape) = {
             let mut ctx = ForwardCtx {
                 mask: None,
                 toggles: SectionToggles {
@@ -289,31 +252,49 @@ mod tests {
                 hook,
                 report: &mut report,
             };
-            ffn.forward_guarded(x, config, &mut ctx)
+            ffn.forward_guarded_tape(x, config, &mut ctx)
         };
-        (out, report)
+        (out, tape, report)
     }
 
     #[test]
     fn guarded_fault_free_is_bit_identical_to_unprotected() {
         let mut rng = TensorRng::seed_from(5);
-        let mut ffn = FeedForward::new("f", 6, 24, &mut rng);
+        let ffn = FeedForward::new("f", 6, 24, &mut rng);
         let x = rng.normal_matrix(5, 6, 1.0);
-        let plain = ffn.forward_inference(&x);
+        let want = plain(&ffn, &x);
         for s_ffn in [false, true] {
-            let (y, report) = guarded(&mut ffn, &x, &ProtectionConfig::full(), s_ffn, None);
-            assert_eq!(y, plain, "s_ffn={s_ffn}");
+            let (y, _, report) = guarded(&ffn, &x, &ProtectionConfig::full(), s_ffn, None);
+            assert_eq!(y, want, "s_ffn={s_ffn}");
             assert!(report.is_quiet());
             assert_eq!(report.sections_checked, usize::from(s_ffn));
         }
     }
 
     #[test]
+    fn gelu_is_screened_when_the_ffn_section_is_gated_off() {
+        // A gated-off S_FFN skips GEMM detection, not the GELU op guard:
+        // like the softmax, LayerNorm and residual guards it stays on
+        // whenever the config is not off.
+        let mut rng = TensorRng::seed_from(8);
+        let ffn = FeedForward::new("f", 6, 24, &mut rng);
+        let x = rng.normal_matrix(5, 6, 1.0);
+        let (y, _, report) = guarded(&ffn, &x, &ProtectionConfig::full(), false, None);
+        assert_eq!(y, plain(&ffn, &x), "screening must not change bits");
+        assert_eq!(report.sections_checked, 0);
+        assert!(report.op_checks > 0, "GELU was not screened: {report}");
+        assert!(report.is_quiet());
+        // An off config runs no op guard at all.
+        let (_, _, off) = guarded(&ffn, &x, &ProtectionConfig::off(), false, None);
+        assert_eq!(off.op_checks, 0);
+    }
+
+    #[test]
     fn both_gemm_sites_are_corrected_in_place() {
         let mut rng = TensorRng::seed_from(6);
-        let mut ffn = FeedForward::new("f", 6, 24, &mut rng);
+        let ffn = FeedForward::new("f", 6, 24, &mut rng);
         let x = rng.normal_matrix(5, 6, 1.0);
-        let plain = ffn.forward_inference(&x);
+        let want = plain(&ffn, &x);
         for op in AttnOp::FFN {
             for kind in [FaultKind::Inf, FaultKind::NaN, FaultKind::NearInf] {
                 let mut hook = |site: FaultSite, m: &mut CheckedMatrix| {
@@ -323,14 +304,9 @@ mod tests {
                         m.set(r, c, kind.apply(old));
                     }
                 };
-                let (y, report) = guarded(
-                    &mut ffn,
-                    &x,
-                    &ProtectionConfig::full(),
-                    true,
-                    Some(&mut hook),
-                );
-                assert_eq!(y, plain, "{op:?}/{kind:?}: must restore exact bits");
+                let (y, _, report) =
+                    guarded(&ffn, &x, &ProtectionConfig::full(), true, Some(&mut hook));
+                assert_eq!(y, want, "{op:?}/{kind:?}: must restore exact bits");
                 assert!(report.correction_count() > 0, "{op:?}/{kind:?}");
                 assert_eq!(report.unrecovered, 0, "{op:?}/{kind:?}");
                 assert!(report
@@ -344,29 +320,25 @@ mod tests {
     #[test]
     fn cached_activations_are_healed_for_backward() {
         let mut rng = TensorRng::seed_from(7);
-        let mut clean = FeedForward::new("f", 4, 16, &mut rng);
-        let mut faulty = clean.clone();
+        let ffn = FeedForward::new("f", 4, 16, &mut rng);
         let x = rng.normal_matrix(3, 4, 1.0);
         let dy = rng.normal_matrix(3, 4, 1.0);
 
-        let (_, _) = guarded(&mut clean, &x, &ProtectionConfig::full(), true, None);
-        let dx_clean = clean.backward(&dy);
+        let (_, clean_tape, _) = guarded(&ffn, &x, &ProtectionConfig::full(), true, None);
+        let mut clean = Grads::new();
+        let dx_clean = ffn.backward_tape(&dy, &clean_tape, &mut clean);
 
         let mut hook = |site: FaultSite, m: &mut CheckedMatrix| {
             if site.op == AttnOp::Ffn1 {
                 m.set(1, 5, f32::INFINITY);
             }
         };
-        let (_, report) = guarded(
-            &mut faulty,
-            &x,
-            &ProtectionConfig::full(),
-            true,
-            Some(&mut hook),
-        );
+        let (_, faulty_tape, report) =
+            guarded(&ffn, &x, &ProtectionConfig::full(), true, Some(&mut hook));
         assert!(report.correction_count() > 0);
-        let dx_faulty = faulty.backward(&dy);
+        let mut faulty = Grads::new();
+        let dx_faulty = ffn.backward_tape(&dy, &faulty_tape, &mut faulty);
         assert_eq!(dx_clean, dx_faulty, "backward must see healed activations");
-        assert_eq!(clean.lin1.inner.w.grad, faulty.lin1.inner.w.grad);
+        assert_eq!(clean.get("f.lin1.w"), faulty.get("f.lin1.w"));
     }
 }

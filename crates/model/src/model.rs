@@ -208,13 +208,6 @@ pub struct TransformerModel {
     pub pooler: Option<Linear>,
     /// Classification head.
     pub classifier: Linear,
-    /// Attention-forward wall time accumulated since the last reset
-    /// (feeds the Fig 7 "attention mechanism" timing).
-    pub attn_elapsed: Duration,
-    /// FFN-forward wall time accumulated since the last reset (feeds the
-    /// FFN-protection overhead column of the Fig 7 reproduction).
-    pub ffn_elapsed: Duration,
-    tape: Option<ExampleTape>,
 }
 
 impl TransformerModel {
@@ -265,9 +258,6 @@ impl TransformerModel {
             final_ln,
             pooler,
             classifier,
-            attn_elapsed: Duration::ZERO,
-            ffn_elapsed: Duration::ZERO,
-            tape: None,
         }
     }
 
@@ -298,8 +288,7 @@ impl TransformerModel {
     ///
     /// Takes the model by `&self`, so a whole batch can forward
     /// concurrently against shared parameters — each item owns its tape,
-    /// report, and (optional) injection hook, mirroring the per-item
-    /// isolation of `ProtectedAttention::forward_batch_with`.
+    /// report, and (optional) injection hook.
     ///
     /// `toggles` selects which protection sections run this pass;
     /// `inject` optionally plants one fault at a specific pipeline site.
@@ -446,48 +435,6 @@ impl TransformerModel {
         }
         self.embedding.backward_tape(&dh, &tape.tokens, grads);
     }
-
-    /// Forward one example; returns the `1 × num_classes` logits. The tape
-    /// is stashed on the model for the matching [`Self::backward_example`],
-    /// and the step timers accumulate — the sequential convenience wrapper
-    /// around [`Self::forward_tape`].
-    pub fn forward_example(
-        &mut self,
-        tokens: &[usize],
-        toggles: SectionToggles,
-        inject: Option<&InjectionSpec>,
-        report: &mut AbftReport,
-    ) -> Matrix {
-        let (logits, tape) = self.forward_tape(tokens, toggles, inject, report);
-        self.attn_elapsed += tape.attn_time;
-        self.ffn_elapsed += tape.ffn_time;
-        self.tape = Some(tape);
-        logits
-    }
-
-    /// Backward one example from the logits gradient. Must directly follow
-    /// the matching [`Self::forward_example`].
-    ///
-    /// # Panics
-    /// Panics if no forward tape is pending.
-    pub fn backward_example(&mut self, dlogits: &Matrix) {
-        let tape = self
-            .tape
-            .take()
-            .expect("backward_example before forward_example");
-        let mut grads = Grads::new();
-        self.backward_tape(dlogits, &tape, &mut grads);
-        grads.merge_into(self);
-    }
-
-    /// Reset the attention/FFN time accumulators. The trainer no longer
-    /// needs this — step timers come from per-item tapes — but sequential
-    /// [`Self::forward_example`] callers still accumulate into the model
-    /// fields and can reset them here.
-    pub fn reset_step_timers(&mut self) {
-        self.attn_elapsed = Duration::ZERO;
-        self.ffn_elapsed = Duration::ZERO;
-    }
 }
 
 impl HasParams for TransformerModel {
@@ -550,10 +497,10 @@ mod tests {
     #[test]
     fn forward_shapes_all_archs() {
         for cfg in ModelConfig::paper_six() {
-            let (mut m, _) = tiny(cfg.clone());
+            let (m, _) = tiny(cfg.clone());
             let tokens: Vec<usize> = (0..16).map(|i| i % cfg.vocab).collect();
             let mut report = AbftReport::default();
-            let logits = m.forward_example(&tokens, SectionToggles::none(), None, &mut report);
+            let (logits, _) = m.forward_tape(&tokens, SectionToggles::none(), None, &mut report);
             assert_eq!((logits.rows(), logits.cols()), (1, 2), "{}", cfg.name);
             assert!(logits.all_finite(), "{}", cfg.name);
         }
@@ -582,19 +529,19 @@ mod tests {
         cfg.hidden = 16;
         cfg.heads = 2;
         cfg.layers = 1;
-        let (mut m, _) = tiny(cfg);
+        let (m, _) = tiny(cfg);
         let tokens = vec![1usize, 5, 9, 3];
         let label = 1usize;
         let mut report = AbftReport::default();
-        let logits = m.forward_example(&tokens, SectionToggles::none(), None, &mut report);
+        let (logits, tape) = m.forward_tape(&tokens, SectionToggles::none(), None, &mut report);
         let (_, dlogits) = cross_entropy(&logits, label);
-        m.backward_example(&dlogits);
+        let mut grads = Grads::new();
+        m.backward_tape(&dlogits, &tape, &mut grads);
 
         // FD check on a handful of parameters spread across the model.
         let loss_fn = |mm: &TransformerModel| -> f32 {
-            let mut c = mm.clone();
             let mut r = AbftReport::default();
-            let lg = c.forward_example(&tokens, SectionToggles::none(), None, &mut r);
+            let (lg, _) = mm.forward_tape(&tokens, SectionToggles::none(), None, &mut r);
             cross_entropy(&lg, label).0
         };
         let eps = 1e-2;
@@ -605,15 +552,11 @@ mod tests {
             ("pooler.w", 2),
         ];
         for (name, _) in spots {
-            let mut grad_val = None;
-            let mut pos = (0usize, 0usize);
-            m.visit_params(&mut |p| {
-                if p.name == name {
-                    pos = (p.value.rows() / 2, p.value.cols() / 2);
-                    grad_val = Some(p.grad[pos]);
-                }
-            });
-            let analytic = grad_val.unwrap_or_else(|| panic!("param {name} not found"));
+            let g = grads
+                .get(name)
+                .unwrap_or_else(|| panic!("param {name} not found"));
+            let pos = (g.rows() / 2, g.cols() / 2);
+            let analytic = g[pos];
             let mut mp = m.clone();
             mp.visit_params(&mut |p| {
                 if p.name == name {
@@ -647,7 +590,7 @@ mod tests {
 
     #[test]
     fn injection_spec_reaches_forward() {
-        let (mut m, _) = tiny(ModelConfig::bert_base());
+        let (m, _) = tiny(ModelConfig::bert_base());
         let tokens: Vec<usize> = (0..16).collect();
         let spec = InjectionSpec {
             layer: 0,
@@ -658,7 +601,7 @@ mod tests {
             kind: FaultKind::NaN,
         };
         let mut report = AbftReport::default();
-        let logits = m.forward_example(&tokens, SectionToggles::none(), Some(&spec), &mut report);
+        let (logits, _) = m.forward_tape(&tokens, SectionToggles::none(), Some(&spec), &mut report);
         // Unprotected NaN in Q propagates through two layers into the CLS
         // path and the logits.
         assert!(!logits.all_finite());
@@ -667,8 +610,7 @@ mod tests {
     #[test]
     fn injection_with_protection_is_corrected() {
         let mut rng = TensorRng::seed_from(12);
-        let mut m =
-            TransformerModel::new(ModelConfig::bert_base(), ProtectionConfig::full(), &mut rng);
+        let m = TransformerModel::new(ModelConfig::bert_base(), ProtectionConfig::full(), &mut rng);
         let tokens: Vec<usize> = (0..16).collect();
         let spec = InjectionSpec {
             layer: 1,
@@ -679,7 +621,7 @@ mod tests {
             kind: FaultKind::Inf,
         };
         let mut report = AbftReport::default();
-        let logits = m.forward_example(&tokens, SectionToggles::all(), Some(&spec), &mut report);
+        let (logits, _) = m.forward_tape(&tokens, SectionToggles::all(), Some(&spec), &mut report);
         assert!(logits.all_finite());
         assert!(report.correction_count() > 0);
         assert_eq!(report.unrecovered, 0);
@@ -688,8 +630,7 @@ mod tests {
     #[test]
     fn ffn_injection_with_protection_is_corrected() {
         let mut rng = TensorRng::seed_from(13);
-        let mut m =
-            TransformerModel::new(ModelConfig::bert_base(), ProtectionConfig::full(), &mut rng);
+        let m = TransformerModel::new(ModelConfig::bert_base(), ProtectionConfig::full(), &mut rng);
         let tokens: Vec<usize> = (0..16).collect();
         for op in AttnOp::FFN {
             let spec = InjectionSpec {
@@ -701,8 +642,8 @@ mod tests {
                 kind: FaultKind::NaN,
             };
             let mut report = AbftReport::default();
-            let logits =
-                m.forward_example(&tokens, SectionToggles::all(), Some(&spec), &mut report);
+            let (logits, _) =
+                m.forward_tape(&tokens, SectionToggles::all(), Some(&spec), &mut report);
             assert!(logits.all_finite(), "{op:?}");
             assert!(report.correction_count() > 0, "{op:?}");
             assert_eq!(report.unrecovered, 0, "{op:?}");

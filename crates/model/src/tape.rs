@@ -10,10 +10,7 @@
 //! backward concurrently — one tape, one report, one gradient buffer per
 //! item — with the per-item results reduced in fixed batch order so the
 //! step is bit-identical to the sequential schedule at any thread count.
-//!
-//! The legacy `forward`/`backward` methods survive as thin wrappers that
-//! stash the tape on the layer, so single-example callers and the layer
-//! test suites are unchanged.
+//! The tapes are the only layer API: no layer holds activation state.
 
 use attn_tensor::ops::LayerNormCache;
 use attn_tensor::Matrix;

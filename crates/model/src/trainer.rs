@@ -164,9 +164,8 @@ impl Trainer {
     ///
     /// Batch items run concurrently over [`Self::parallelism`] workers;
     /// each item forwards and backwards against the shared model with its
-    /// own activation tape, ABFT report, and gradient buffer (the per-item
-    /// isolation pattern of `ProtectedAttention::forward_batch_with`, so
-    /// an injection strikes only its target item). Per-item results are
+    /// own activation tape, ABFT report, and gradient buffer, so an
+    /// injection strikes only its target item. Per-item results are
     /// reduced in batch order, making the step bit-identical to the
     /// sequential schedule at any worker count.
     pub fn train_step_injected(
@@ -277,14 +276,14 @@ impl Trainer {
     }
 
     /// Forward-only evaluation: `(mean loss, accuracy)`.
-    pub fn evaluate(&mut self, dataset: &SyntheticMrpc) -> (f32, f32) {
+    pub fn evaluate(&self, dataset: &SyntheticMrpc) -> (f32, f32) {
         let mut loss_sum = 0.0f32;
         let mut correct = 0usize;
         let mut report = AbftReport::default();
         for ex in &dataset.examples {
-            let logits =
+            let (logits, _) =
                 self.model
-                    .forward_example(&ex.tokens, SectionToggles::none(), None, &mut report);
+                    .forward_tape(&ex.tokens, SectionToggles::none(), None, &mut report);
             let (loss, _) = cross_entropy(&logits, ex.label);
             loss_sum += loss;
             if argmax_row(logits.row(0)) == ex.label {
@@ -418,7 +417,7 @@ mod tests {
 
     #[test]
     fn evaluate_reports_loss_and_accuracy() {
-        let (mut tr, ds, _) = tiny_trainer(ProtectionConfig::off());
+        let (tr, ds, _) = tiny_trainer(ProtectionConfig::off());
         let (loss, acc) = tr.evaluate(&ds);
         assert!(loss.is_finite() && loss > 0.0);
         assert!((0.0..=1.0).contains(&acc));
@@ -579,7 +578,7 @@ mod tests {
         cfg.layers = 1;
         cfg.num_classes = 4;
         let model = TransformerModel::new(cfg, ProtectionConfig::off(), &mut rng);
-        let mut tr = Trainer::new(model, 1e-3);
+        let tr = Trainer::new(model, 1e-3);
         let ds = SyntheticMrpc::generate(8, 256, 16, 5);
         let (loss, acc) = tr.evaluate(&ds);
         assert!(loss.is_finite() && loss > 0.0);

@@ -9,11 +9,12 @@ use attn_fault::FaultKind;
 use attn_tensor::rng::TensorRng;
 use attn_tensor::Matrix;
 use attnchecker::attention::{
-    AttentionWeights, AttnOp, FaultSite, ForwardOptions, ProtectedAttention, SectionToggles,
+    AttentionWeights, AttnOp, FaultSite, ProtectedAttention, SectionToggles,
 };
 use attnchecker::checked::CheckedMatrix;
 use attnchecker::config::ProtectionConfig;
 use attnchecker::report::AbftReport;
+use attnchecker::section::ForwardCtx;
 
 fn forward(
     attn: &ProtectedAttention,
@@ -28,15 +29,13 @@ fn forward(
         }
     };
     let mut report = AbftReport::default();
-    let out = attn.forward(
-        x,
-        ForwardOptions {
-            mask: None,
-            toggles: SectionToggles::none(),
-            hook: inject.is_some().then_some(&mut hook as _),
-        },
-        &mut report,
-    );
+    let mut ctx = ForwardCtx {
+        mask: None,
+        toggles: SectionToggles::none(),
+        hook: inject.is_some().then_some(&mut hook as _),
+        report: &mut report,
+    };
+    let out = attn.forward_ctx(x, &mut ctx);
     (
         out.cache.scores[0].clone(),
         out.cache.cl.clone(),

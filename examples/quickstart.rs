@@ -5,11 +5,12 @@
 
 use attn_tensor::rng::TensorRng;
 use attnchecker::attention::{
-    AttentionWeights, AttnOp, FaultSite, ForwardOptions, ProtectedAttention, SectionToggles,
+    AttentionWeights, AttnOp, FaultSite, ProtectedAttention, SectionToggles,
 };
 use attnchecker::checked::CheckedMatrix;
 use attnchecker::config::ProtectionConfig;
 use attnchecker::report::AbftReport;
+use attnchecker::section::ForwardCtx;
 
 fn main() {
     // 1. Build an attention block (seq 16, hidden 64, 4 heads) and wrap it
@@ -21,7 +22,13 @@ fn main() {
 
     // 2. A clean forward pass for reference.
     let mut quiet = AbftReport::default();
-    let clean = attn.forward_simple(&x, &mut quiet);
+    let mut ctx = ForwardCtx {
+        mask: None,
+        toggles: SectionToggles::all(),
+        hook: None,
+        report: &mut quiet,
+    };
+    let clean = attn.forward_ctx(&x, &mut ctx);
     println!("clean run:  {quiet}");
 
     // 3. The same pass, but a bit flip strikes the Q projection mid-flight
@@ -36,15 +43,13 @@ fn main() {
         }
     };
     let mut report = AbftReport::default();
-    let recovered = attn.forward(
-        &x,
-        ForwardOptions {
-            mask: None,
-            toggles: SectionToggles::all(),
-            hook: Some(&mut hook),
-        },
-        &mut report,
-    );
+    let mut ctx = ForwardCtx {
+        mask: None,
+        toggles: SectionToggles::all(),
+        hook: Some(&mut hook),
+        report: &mut report,
+    };
+    let recovered = attn.forward_ctx(&x, &mut ctx);
     println!("faulty run: {report}");
 
     // 4. The delayed detection at the attention-score section caught the

@@ -7,11 +7,12 @@ use attn_fault::FaultKind;
 use attn_tensor::rng::TensorRng;
 use attn_tensor::Matrix;
 use attnchecker::attention::{
-    AttentionWeights, AttnOp, FaultSite, ForwardOptions, ProtectedAttention, SectionToggles,
+    AttentionWeights, AttnOp, FaultSite, ProtectedAttention, SectionToggles,
 };
 use attnchecker::checked::CheckedMatrix;
 use attnchecker::config::ProtectionConfig;
 use attnchecker::report::AbftReport;
+use attnchecker::section::ForwardCtx;
 
 struct Traces {
     scores: Matrix,
@@ -36,15 +37,13 @@ fn run(
         }
     };
     let mut report = AbftReport::default();
-    let out = attn.forward(
-        x,
-        ForwardOptions {
-            mask: None,
-            toggles: SectionToggles::none(),
-            hook: inject.is_some().then_some(&mut hook as _),
-        },
-        &mut report,
-    );
+    let mut ctx = ForwardCtx {
+        mask: None,
+        toggles: SectionToggles::none(),
+        hook: inject.is_some().then_some(&mut hook as _),
+        report: &mut report,
+    };
+    let out = attn.forward_ctx(x, &mut ctx);
     Traces {
         scores: out.cache.scores[0].clone(),
         ap: out.cache.ap[0].clone(),
@@ -152,7 +151,15 @@ fn protection_confines_every_studied_pattern() {
     let protected = ProtectedAttention::new(weights, ProtectionConfig::full());
     let x = rng.normal_matrix(20, 32, 0.5);
     let mut quiet = AbftReport::default();
-    let clean = protected.forward_simple(&x, &mut quiet);
+    let clean = protected.forward_ctx(
+        &x,
+        &mut ForwardCtx {
+            mask: None,
+            toggles: SectionToggles::all(),
+            hook: None,
+            report: &mut quiet,
+        },
+    );
     for op in AttnOp::STUDY {
         for kind in [FaultKind::Inf, FaultKind::NaN, FaultKind::NearInf] {
             let mut hook = |site: FaultSite, m: &mut CheckedMatrix| {
@@ -163,15 +170,13 @@ fn protection_confines_every_studied_pattern() {
                 }
             };
             let mut report = AbftReport::default();
-            let out = protected.forward(
-                &x,
-                ForwardOptions {
-                    mask: None,
-                    toggles: SectionToggles::all(),
-                    hook: Some(&mut hook),
-                },
-                &mut report,
-            );
+            let mut ctx = ForwardCtx {
+                mask: None,
+                toggles: SectionToggles::all(),
+                hook: Some(&mut hook),
+                report: &mut report,
+            };
+            let out = protected.forward_ctx(&x, &mut ctx);
             let rep = classify(&clean.output, &out.output, 1e-3);
             assert!(
                 rep.is_clean(),
